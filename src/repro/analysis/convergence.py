@@ -70,8 +70,9 @@ def delta_convergence_study(
     ----------
     solver:
         Callable mapping a step size ``delta`` to a lifetime distribution
-        (typically a closure around
-        :func:`repro.core.lifetime.lifetime_distribution`).
+        (typically a closure solving a
+        :class:`~repro.engine.problem.LifetimeProblem` with the
+        ``mrm-uniformization`` solver).
     deltas:
         Step sizes to evaluate (any order; typically decreasing).
     reference:

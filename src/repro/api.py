@@ -107,9 +107,8 @@ def sweep(
 ) -> SweepResult:
     """Answer a scenario sweep, fanning uncached work out over processes.
 
-    Facade over :func:`repro.engine.sweep.run_sweep` taking only the
-    blessed :class:`RunOptions` spelling (the legacy per-kwarg shim lives
-    on ``run_sweep`` itself).
+    Facade over :func:`repro.engine.sweep.run_sweep`; every execution
+    knob travels in one :class:`RunOptions`.
     """
     return run_sweep(scenarios, method, options=options)
 

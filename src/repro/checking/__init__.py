@@ -1,8 +1,8 @@
 """Machine-checked correctness contracts for the reproduction.
 
 The library keeps three interchangeable chain representations (assembled
-CSR, matrix-free Kronecker operator, lumped symmetry quotient) and three
-interchangeable kernels numerically equivalent.  The invariants behind
+CSR, matrix-free Kronecker operator, lumped symmetry quotient) numerically
+equivalent.  The invariants behind
 that equivalence -- zero row sums, non-negative off-diagonals,
 uniformisation-rate dominance, no silent dense escape, registered
 fingerprint fields, schema'd diagnostics keys -- used to live in scattered

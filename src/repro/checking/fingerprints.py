@@ -13,7 +13,7 @@ Every field must therefore be declared here, exactly once per class, as
 either **relevant** (it feeds the fingerprint) or **exempt** (it provably
 cannot change the solved curve: labels, presentation metadata, and the
 knobs whose whole design contract is numerical equivalence -- transient
-mode, kernel, chain backend).  Two enforcement layers read this table:
+mode, chain backend).  Two enforcement layers read this table:
 
 * lint rule RPR003 (``tools/repro_lint.py``) parses the literal below and
   flags any dataclass field of these classes (or their subtypes) that is
@@ -57,11 +57,9 @@ FINGERPRINT_FIELDS = {
             # Presentation only: never touches the numerics.
             "label",
             "metadata",
-            # Equivalence-contract knobs: incremental vs single-pass and
-            # scipy vs compiled are gated bit-compatible, so the cache
-            # must serve across them.
+            # Equivalence-contract knob: incremental and single-pass agree
+            # within epsilon, so the cache must serve across them.
             "transient_mode",
-            "kernel",
         ),
     },
     "MultiBatteryProblem": {
@@ -106,7 +104,6 @@ FINGERPRINT_FIELDS = {
         ),
         "exempt": (
             "transient_mode",
-            "kernel",
             # Execution policy (retries, timeouts, backoff, failure mode):
             # how hard the driver tries cannot change the curve, and a
             # retried scenario must hit the cache entry its first attempt

@@ -3,8 +3,7 @@
 Three extension seams keep the solver pipeline swappable -- the chain
 representation (assembled CSR / :class:`~repro.markov.kronecker.KroneckerGenerator`
 / lumped quotient), the uniformisation kernel
-(:class:`~repro.markov.kernels.ScipyKernel` /
-:class:`~repro.markov.kernels.CompiledKernel`) and the scheduler policy
+(:class:`~repro.markov.kernels.ScipyKernel`) and the scheduler policy
 registry of :mod:`repro.multibattery.policies`.  None of them requires a
 common base class; what matters is the *shape* of the objects.  These
 :class:`typing.Protocol` definitions write that shape down so mypy checks
@@ -62,8 +61,8 @@ class GeneratorOperator(Protocol):
     """A matrix-free CTMC generator: everything ``v @ Q`` needs.
 
     :class:`~repro.markov.kronecker.KroneckerGenerator` is the shipped
-    implementation; any operator with this shape (a GPU-resident variant,
-    a hierarchical term structure) drops into
+    implementation; any operator with this shape (a hierarchical term
+    structure, say) drops into
     :class:`~repro.markov.uniformization.TransientPropagator` unchanged.
     """
 
@@ -99,11 +98,8 @@ class UniformizationKernel(Protocol):
     """One implementation of the uniformisation inner loop.
 
     The propagator only ever calls ``spmm`` (one ``v @ P`` product) and
-    ``run_segment`` (one fused Poisson-window pass); ``name`` is the
-    resolved implementation reported in solver diagnostics.
+    ``run_segment`` (one fused Poisson-window pass).
     """
-
-    name: str
 
     def spmm(self, block: FloatArray) -> FloatArray:
         """One ``block @ P`` product."""

@@ -9,23 +9,20 @@
   ``Q*`` of Section 5 (workload transitions, energy-consumption transitions
   ``I_i / Delta`` and bound-to-available transfer transitions
   ``k (h2 - h1) / Delta``, with absorbing empty states).
-* :mod:`repro.core.lifetime` -- the lifetime-distribution solver: transient
-  solution of ``Q*`` via uniformisation and summation over the empty states.
-* :mod:`repro.core.builder` -- one-call convenience API.
+
+The lifetime distribution itself -- the transient solution of ``Q*`` by
+uniformisation, summed over the empty states -- is computed by the
+``mrm-uniformization`` solver of :mod:`repro.engine`
+(``repro.api.solve(problem, "mrm-uniformization")``).
 """
 
-from repro.core.builder import compute_lifetime_distribution
 from repro.core.discretization import DiscretizedKiBaMRM, discretize
 from repro.core.grid import RewardGrid
 from repro.core.kibamrm import KiBaMRM
-from repro.core.lifetime import LifetimeSolver, lifetime_distribution
 
 __all__ = [
     "DiscretizedKiBaMRM",
     "KiBaMRM",
-    "LifetimeSolver",
     "RewardGrid",
-    "compute_lifetime_distribution",
     "discretize",
-    "lifetime_distribution",
 ]

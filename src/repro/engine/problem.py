@@ -74,14 +74,6 @@ class LifetimeProblem:
         sweep-cache fingerprints -- run cross-checks without a sweep
         cache, or the second mode is answered from the first mode's
         entries.
-    kernel:
-        Compute kernel of the uniformisation inner loops: ``"scipy"``,
-        ``"compiled"`` (numba-jitted CSR routines, degrading gracefully
-        when numba is absent or the chain is matrix-free) or ``"auto"``
-        (the default).  Like ``transient_mode``, the kernel changes only
-        *how* the identical numbers are computed, so it is excluded from
-        :meth:`chain_key` and the sweep-cache fingerprints; the
-        workspace's propagator cache keys on it separately.
     """
 
     workload: WorkloadModel
@@ -94,7 +86,6 @@ class LifetimeProblem:
     horizon: float | None = None
     label: str | None = None
     transient_mode: str = "incremental"
-    kernel: str = "auto"
     metadata: dict[str, Any] = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
@@ -120,16 +111,12 @@ class LifetimeProblem:
             raise ValueError("epsilon must be positive")
         if self.n_runs < 1:
             raise ValueError("n_runs must be at least 1")
-        from repro.markov.uniformization import KERNEL_CHOICES, TRANSIENT_MODES
+        from repro.markov.uniformization import TRANSIENT_MODES
 
         if self.transient_mode not in TRANSIENT_MODES:
             raise ValueError(
                 f"unknown transient mode {self.transient_mode!r}; expected one "
                 f"of {TRANSIENT_MODES}"
-            )
-        if self.kernel not in KERNEL_CHOICES:
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; expected one of {KERNEL_CHOICES}"
             )
 
     # ------------------------------------------------------------------
@@ -204,10 +191,6 @@ class LifetimeProblem:
     def with_transient_mode(self, transient_mode: str) -> "LifetimeProblem":
         """Return a copy with a different uniformisation strategy."""
         return replace(self, transient_mode=transient_mode)
-
-    def with_kernel(self, kernel: str) -> "LifetimeProblem":
-        """Return a copy solved through a different compute kernel."""
-        return replace(self, kernel=kernel)
 
     # ------------------------------------------------------------------
     def workload_fingerprint(self) -> tuple[Any, ...]:

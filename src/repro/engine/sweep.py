@@ -40,7 +40,6 @@ import os
 import pickle
 import tempfile
 import threading
-import warnings
 from collections.abc import Iterable, Sequence
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
@@ -74,8 +73,6 @@ from repro.simulation.rng import DEFAULT_SEED, spawn_seeds
 from repro.workload.base import WorkloadModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from collections.abc import Callable
-
     from repro.checking import FloatArray
 
 __all__ = [
@@ -132,9 +129,8 @@ def scenario_fingerprint(problem: LifetimeProblem, method: str) -> str:
     part of the key: both strategies agree within ``epsilon``, so switching
     the mode must not invalidate the deterministic cache.  The
     multi-battery product-chain ``backend`` (assembled / matrix-free /
-    lumped) and the compute ``kernel`` (scipy / compiled) are excluded for
-    the same reason -- every backend and kernel computes the same lifetime
-    law.  The execution-policy knobs of
+    lumped) is excluded for the same reason -- every backend computes the
+    same lifetime law.  The execution-policy knobs of
     :class:`~repro.engine.executor.ExecutionPolicy` (retries, timeouts,
     failure mode) are likewise excluded: *how hard* the driver tried
     cannot change the curve, and a retried scenario must hit the cache
@@ -440,10 +436,6 @@ class SweepSpec:
         Uniformisation strategy shared by every scenario
         (``"incremental"`` or ``"single-pass"``); excluded from the cache
         fingerprints, which stay stable across modes.
-    kernel:
-        Uniformisation compute kernel shared by every scenario
-        (``"auto"``, ``"scipy"`` or ``"compiled"``); like
-        ``transient_mode``, excluded from the cache fingerprints.
     execution:
         Optional :class:`~repro.engine.executor.ExecutionPolicy` (retries,
         per-chunk timeout, backoff, failure mode) applied when the spec is
@@ -470,7 +462,6 @@ class SweepSpec:
     horizon: float | None = None
     seed: int = DEFAULT_SEED
     transient_mode: str = "incremental"
-    kernel: str = "auto"
     execution: ExecutionPolicy | None = None
     trace: str | None = None
 
@@ -538,7 +529,6 @@ class SweepSpec:
                                 seed=seeds[len(problems)],
                                 horizon=self.horizon,
                                 transient_mode=self.transient_mode,
-                                kernel=self.kernel,
                             )
                             if isinstance(bank, KiBaMParameters):
                                 label = (
@@ -849,29 +839,11 @@ def default_worker_count() -> int:
         return os.cpu_count() or 1
 
 
-_LEGACY_RUN_SWEEP_KWARGS = (
-    "max_workers",
-    "cache",
-    "cache_dir",
-    "execution",
-    "failure_mode",
-    "executor",
-    "progress",
-)
-
-
 def run_sweep(
     scenarios: SweepSpec | ScenarioBatch | Iterable[LifetimeProblem],
     method: str = "auto",
     *,
     options: RunOptions | None = None,
-    max_workers: int | None = None,
-    cache: SweepCache | None = None,
-    cache_dir: str | os.PathLike[str] | None = None,
-    execution: ExecutionPolicy | None = None,
-    failure_mode: str | None = None,
-    executor: str | Any | None = None,
-    progress: "Callable[[SweepProgress], None] | None" = None,
 ) -> SweepResult:
     """Solve a scenario sweep, fanning uncached work out over processes.
 
@@ -887,9 +859,7 @@ def run_sweep(
     options:
         :class:`~repro.engine.options.RunOptions` bundling every execution
         knob -- worker count, cache, execution policy, failure mode,
-        executor backend, progress callback.  This is the documented
-        spelling; the per-kwarg parameters below are a deprecated
-        compatibility shim and emit :class:`DeprecationWarning`.
+        executor backend, progress callback.
 
         Highlights (see :class:`~repro.engine.options.RunOptions` for the
         full reference):
@@ -935,24 +905,7 @@ def run_sweep(
         ``n_chunks``, ``cache_hits``, ``n_retries``, ``resumed_hits``,
         ``wall_seconds``, ...).
     """
-    legacy = {
-        "max_workers": max_workers,
-        "cache": cache,
-        "cache_dir": cache_dir,
-        "execution": execution,
-        "failure_mode": failure_mode,
-        "executor": executor,
-        "progress": progress,
-    }
-    used_legacy = [name for name in _LEGACY_RUN_SWEEP_KWARGS if legacy[name] is not None]
-    if used_legacy:
-        warnings.warn(
-            f"run_sweep({', '.join(name + '=' for name in used_legacy)}...) is deprecated; "
-            f"pass options=RunOptions({', '.join(name + '=...' for name in used_legacy)}) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    opts = (options or RunOptions()).merged(**legacy)
+    opts = options or RunOptions()
     max_workers = opts.max_workers
     execution = opts.execution
     failure_mode = opts.failure_mode

@@ -105,22 +105,12 @@ class SolveWorkspace:
             obs.count("workspace_chain_build_hits")
         return chain
 
-    def propagator(
-        self, chain: DiscretizedKiBaMRM, key: tuple[Any, ...], *, kernel: str = "auto"
-    ) -> TransientPropagator:
-        """Return the cached uniformised propagator for *chain*.
-
-        *kernel* selects the compute kernel of the propagator's inner
-        loops (see :mod:`repro.markov.kernels`); callers must fold it
-        into *key*, because different kernels hold different prepared
-        forms of the same uniformised matrix.
-        """
+    def propagator(self, chain: DiscretizedKiBaMRM, key: tuple[Any, ...]) -> TransientPropagator:
+        """Return the cached uniformised propagator for *chain*."""
         propagator = self.propagators.get(key)
         if propagator is None:
-            with obs.span("propagator_build", kernel=kernel):
-                propagator = TransientPropagator(
-                    chain.generator, validate=False, kernel=kernel
-                )
+            with obs.span("propagator_build"):
+                propagator = TransientPropagator(chain.generator, validate=False)
             self.propagators[key] = propagator
         return propagator
 

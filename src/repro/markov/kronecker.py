@@ -38,7 +38,6 @@ call-site changes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import ModuleType
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
@@ -55,42 +54,14 @@ __all__ = [
     "KroneckerGenerator",
     "KroneckerTerm",
     "UniformizedOperator",
-    "array_namespace",
     "assembled_csr_bytes",
     "is_matrix_free",
-    "to_host",
 ]
 
 
 def is_matrix_free(matrix: object) -> bool:
     """Return ``True`` when *matrix* is a matrix-free operator of this module."""
     return isinstance(matrix, (KroneckerGenerator, UniformizedOperator))
-
-
-def array_namespace(array: Any) -> ModuleType:
-    """The array module that owns *array*: numpy by default, cupy on device.
-
-    The operators of this module are array-API generic in the pragmatic
-    sense: every contraction is expressed through the namespace of the
-    *input block*, so a cupy block keeps the whole ``v @ Q`` evaluation on
-    the GPU (cupy implements the ``__array_function__`` protocol, hence
-    the surrounding uniformisation loops dispatch transparently as well).
-    CPU-only environments never import anything beyond numpy.
-    """
-    module = type(array).__module__.partition(".")[0]
-    if module == "cupy":
-        import cupy
-
-        return cupy
-    return np
-
-
-def to_host(array: Any) -> Any:
-    """Return *array* as a host (numpy) array; device arrays are copied back."""
-    get = getattr(array, "get", None)
-    if callable(get) and type(array).__module__.partition(".")[0] == "cupy":
-        return get()
-    return array
 
 
 #: Factors up to this size are densified for the trailing-axis BLAS path
@@ -126,8 +97,9 @@ class _PreparedFactor:
         size = matrix.shape[0]
         # Factor-local densification, bounded by _DENSE_FACTOR_LIMIT (128).
         self.dense = matrix.toarray() if size <= _DENSE_FACTOR_LIMIT else None  # repro-lint: allow RPR001
+        #: The trailing-axis matmul operand: the dense copy when there is one.
+        self.operand = self.dense if self.dense is not None else matrix
         self._offsets = self._group_by_offset(coo)
-        self._device: dict[str, object] = {}
 
     @staticmethod
     def _group_by_offset(coo: sp.coo_matrix) -> tuple[Any, ...]:
@@ -158,24 +130,6 @@ class _PreparedFactor:
             grouped.append((row_index, col_index, values))
         return tuple(grouped)
 
-    def _offsets_for(self, xp: ModuleType) -> tuple[Any, ...]:
-        """The offset groups with their value arrays in namespace *xp*."""
-        if xp is np:
-            return self._offsets
-        key = f"offsets:{xp.__name__}"
-        cached = self._device.get(key)
-        if cached is None:
-            cached = tuple(
-                (
-                    rows if isinstance(rows, slice) else xp.asarray(rows),
-                    cols if isinstance(cols, slice) else xp.asarray(cols),
-                    xp.asarray(values),
-                )
-                for rows, cols, values in self._offsets
-            )
-            self._device[key] = cached
-        return cached
-
     def scaled(self, gain: float) -> "_PreparedFactor":
         """A copy of this factor with every entry multiplied by *gain*.
 
@@ -185,34 +139,7 @@ class _PreparedFactor:
         """
         return _PreparedFactor(self.axis, (self.matrix * float(gain)).tocsr())
 
-    def operand(self, xp: ModuleType) -> Any:
-        """The trailing-axis matmul operand in namespace *xp* (cached).
-
-        numpy gets the prepared dense/CSR operand directly; other
-        namespaces get a device copy -- a device-sparse CSR when the
-        namespace ships one (``cupyx.scipy.sparse``), a dense device array
-        otherwise.  Factors are small, so the copies are cheap and made
-        once per namespace.
-        """
-        if xp is np:
-            return self.dense if self.dense is not None else self.matrix
-        key = xp.__name__
-        cached = self._device.get(key)
-        if cached is None:
-            if self.dense is not None:
-                cached = xp.asarray(self.dense)
-            else:
-                try:
-                    from cupyx.scipy import sparse as device_sparse
-
-                    cached = device_sparse.csr_matrix(self.matrix)
-                except ImportError:
-                    # Factor-sized device upload (dims are tens of states).
-                    cached = xp.asarray(self.matrix.toarray())  # repro-lint: allow RPR001
-            self._device[key] = cached
-        return cached
-
-    def apply(self, tensor: Any, xp: ModuleType = np) -> Any:
+    def apply(self, tensor: Any) -> Any:
         """Contract *tensor*'s axis with the factor rows (``v -> v @ F``)."""
         shape = tensor.shape
         axis = self.axis
@@ -220,15 +147,15 @@ class _PreparedFactor:
         right = int(np.prod(shape[axis + 1 :], dtype=np.int64))
         if right == 1:
             flat = tensor.reshape(-1, size)
-            return xp.asarray(flat @ self.operand(xp)).reshape(shape)
+            return np.asarray(flat @ self.operand).reshape(shape)
         left = int(np.prod(shape[:axis], dtype=np.int64))
         flat = tensor.reshape(left, size, right)
-        out = xp.zeros_like(flat)
-        for rows, cols, values in self._offsets_for(xp):
+        out = np.zeros_like(flat)
+        for rows, cols, values in self._offsets:
             out[:, cols, :] += values[:, None] * flat[:, rows, :]
         return out.reshape(shape)
 
-    def apply_into(self, tensor: Any, out: Any, xp: ModuleType = np) -> None:
+    def apply_into(self, tensor: Any, out: Any) -> None:
         """Accumulate the contraction into *out* (``out += tensor @ F``).
 
         The fused inner-loop form: no zero-initialised temporary and no
@@ -243,12 +170,12 @@ class _PreparedFactor:
         if right == 1:
             flat = tensor.reshape(-1, size)
             out_flat = out.reshape(-1, size)
-            out_flat += xp.asarray(flat @ self.operand(xp))
+            out_flat += np.asarray(flat @ self.operand)
             return
         left = int(np.prod(shape[:axis], dtype=np.int64))
         flat = tensor.reshape(left, size, right)
         out_flat = out.reshape(left, size, right)
-        for rows, cols, values in self._offsets_for(xp):
+        for rows, cols, values in self._offsets:
             out_flat[:, cols, :] += values[:, None] * flat[:, rows, :]
 
 
@@ -304,7 +231,6 @@ def _apply_terms(
     dims: tuple[int, ...],
     diagonal: Any,
     terms: tuple[Any, ...],
-    xp: ModuleType,
 ) -> Any:
     """Shared fused evaluation core: ``rows @ (diag(diagonal) + sum terms)``.
 
@@ -336,22 +262,22 @@ def _apply_terms(
             first = scale_groups[0]
             if id(first) != prefix_id:
                 if prefix is None:
-                    prefix = xp.empty(batch_dims, dtype=out.dtype)
-                xp.multiply(rows_tensor, first, out=prefix)
+                    prefix = np.empty(batch_dims, dtype=out.dtype)
+                np.multiply(rows_tensor, first, out=prefix)
                 prefix_id = id(first)
             if len(scale_groups) == 1:
                 tensor = prefix
             else:
                 if scratch is None:
-                    scratch = xp.empty(batch_dims, dtype=out.dtype)
-                xp.multiply(prefix, scale_groups[1], out=scratch)
+                    scratch = np.empty(batch_dims, dtype=out.dtype)
+                np.multiply(prefix, scale_groups[1], out=scratch)
                 for scale in scale_groups[2:]:
                     scratch *= scale
                 tensor = scratch
         if factors:
             for factor in factors[:-1]:
-                tensor = factor.apply(tensor, xp)
-            factors[-1].apply_into(tensor, out_tensor, xp)
+                tensor = factor.apply(tensor)
+            factors[-1].apply_into(tensor, out_tensor)
         elif gain == 1.0:
             out_tensor += tensor
         elif tensor is scratch:
@@ -362,36 +288,6 @@ def _apply_terms(
             # must survive later terms unchanged.
             out_tensor += tensor * gain
     return out
-
-
-def _device_terms(
-    xp: ModuleType, diagonal: FloatArray, fused_terms: tuple[Any, ...]
-) -> tuple[Any, tuple[Any, ...]]:
-    """Device copies of a fused term list: ``(diagonal, terms)`` in *xp*.
-
-    Host arrays shared between terms map to one device array, so the
-    identity-keyed prefix memo of :func:`_apply_terms` keeps firing on
-    the device side.
-    """
-    device_of: dict[int, object] = {}
-
-    def device(array: FloatArray) -> Any:
-        copied = device_of.get(id(array))
-        if copied is None:
-            copied = xp.asarray(array)
-            device_of[id(array)] = copied
-        return copied
-
-    device_diagonal = xp.asarray(diagonal)
-    device_terms = tuple(
-        (
-            tuple(device(scale) for scale in scale_groups),
-            factors,
-            gain,
-        )
-        for scale_groups, factors, gain in fused_terms
-    )
-    return device_diagonal, device_terms
 
 
 class KroneckerGenerator:
@@ -490,7 +386,6 @@ class KroneckerGenerator:
         )
         self._diagonal = -self._off_diagonal_row_sums()
         self._nnz = self._implied_nnz()
-        self._device_cache: dict[str, tuple[Any, tuple[Any, ...]]] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -603,30 +498,9 @@ class KroneckerGenerator:
         return int(round(entries)) + int(np.count_nonzero(self._diagonal))
 
     # ------------------------------------------------------------------
-    def _device_state(self, xp: ModuleType) -> tuple[Any, tuple[Any, ...]]:
-        """``(diagonal, fused_terms)`` in namespace *xp* (cached per device).
-
-        numpy gets the host arrays directly; other namespaces get device
-        copies of the diagonal and every scale group, converted once.
-        Factor operands convert lazily inside :class:`_PreparedFactor`.
-        """
-        if xp is np:
-            return self._diagonal, self._fused_terms
-        key = xp.__name__
-        state = self._device_cache.get(key)
-        if state is None:
-            state = _device_terms(xp, self._diagonal, self._fused_terms)
-            self._device_cache[key] = state
-        return state
-
     def apply(self, block: Any) -> Any:
-        """Evaluate ``block @ Q`` for a vector ``(n,)`` or a block ``(K, n)``.
-
-        The result lives in the namespace of *block*: numpy blocks stay on
-        the host, cupy blocks stay on the device.
-        """
-        xp = array_namespace(block)
-        array = np.asarray(block, dtype=float) if xp is np else block
+        """Evaluate ``block @ Q`` for a vector ``(n,)`` or a block ``(K, n)``."""
+        array = np.asarray(block, dtype=float)
         squeeze = array.ndim == 1
         rows = array[None, :] if squeeze else array
         if rows.ndim != 2 or rows.shape[1] != self._n:
@@ -634,10 +508,9 @@ class KroneckerGenerator:
                 f"operand has {rows.shape[-1]} columns but the generator has "
                 f"{self._n} states"
             )
-        rows = xp.ascontiguousarray(rows)
-        diagonal, terms = self._device_state(xp)
+        rows = np.ascontiguousarray(rows)
         with obs.detail_span("kron_apply", rows=int(rows.shape[0])):
-            out = _apply_terms(rows, self._dims, diagonal, terms, xp)
+            out = _apply_terms(rows, self._dims, self._diagonal, self._fused_terms)
         return out[0] if squeeze else out
 
     def __rmatmul__(self, other: Any) -> Any:
@@ -730,7 +603,6 @@ class UniformizedOperator:
         self._generator = generator
         self._rate = float(rate)
         self._fused = bool(fused)
-        self._device_cache: dict[str, tuple[Any, tuple[Any, ...]]] = {}
         if self._fused:
             gain = 1.0 / self._rate
             self._diag_p = 1.0 + generator.diagonal() * gain
@@ -763,20 +635,9 @@ class UniformizedOperator:
         """The wrapped matrix-free generator."""
         return self._generator
 
-    def _device_state(self, xp: ModuleType) -> tuple[Any, tuple[Any, ...]]:
-        if xp is np:
-            return self._diag_p, self._fused_terms
-        key = xp.__name__
-        state = self._device_cache.get(key)
-        if state is None:
-            state = _device_terms(xp, self._diag_p, self._fused_terms)
-            self._device_cache[key] = state
-        return state
-
     def apply(self, block: Any) -> Any:
         """Evaluate ``block @ P`` for a vector ``(n,)`` or a block ``(K, n)``."""
-        xp = array_namespace(block)
-        array = np.asarray(block, dtype=float) if xp is np else block
+        array = np.asarray(block, dtype=float)
         if not self._fused:
             return array + self._generator.apply(array) / self._rate
         squeeze = array.ndim == 1
@@ -786,9 +647,8 @@ class UniformizedOperator:
                 f"operand has {rows.shape[-1]} columns but the operator has "
                 f"{self.shape[0]} states"
             )
-        rows = xp.ascontiguousarray(rows)
-        diagonal, terms = self._device_state(xp)
-        out = _apply_terms(rows, self._generator.dims, diagonal, terms, xp)
+        rows = np.ascontiguousarray(rows)
+        out = _apply_terms(rows, self._generator.dims, self._diag_p, self._fused_terms)
         return out[0] if squeeze else out
 
     def __rmatmul__(self, other: Any) -> Any:

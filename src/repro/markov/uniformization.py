@@ -64,12 +64,7 @@ from repro import obs
 from repro.checking.protocols import FloatArray
 from repro.markov import kernels
 from repro.markov.generator import as_csr, validate_generator
-from repro.markov.kernels import KERNEL_CHOICES
-from repro.markov.kronecker import (
-    KroneckerGenerator,
-    UniformizedOperator,
-    to_host,
-)
+from repro.markov.kronecker import KroneckerGenerator, UniformizedOperator
 from repro.markov.poisson import (
     PoissonWeights,
     cached_poisson_weights,
@@ -79,15 +74,12 @@ from repro.markov.poisson import (
 from repro.markov.validate import check_generator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from types import ModuleType
-
     import numpy.typing as npt
 
     from repro.checking.protocols import GeneratorLike
 
 __all__ = [
     "BatchTransientResult",
-    "KERNEL_CHOICES",
     "TransientPropagator",
     "UniformizationResult",
     "uniformization_rate",
@@ -124,10 +116,6 @@ class UniformizationResult:
         Upper bound on the neglected Poisson mass, per time point.
     mode:
         Evaluation strategy (``"incremental"`` or ``"single-pass"``).
-    kernel:
-        The compute kernel that actually ran (``"scipy"`` or
-        ``"compiled"``; an ``"auto"`` or degraded request reports the
-        resolved implementation).
     iterations_saved:
         Vector--matrix products avoided by steady-state detection.
     steady_state_time:
@@ -143,7 +131,6 @@ class UniformizationResult:
     iterations: int
     truncation_error: FloatArray
     mode: str = "incremental"
-    kernel: str = "scipy"
     iterations_saved: int = 0
     steady_state_time: float | None = None
     steady_state_iteration: int | None = None
@@ -179,9 +166,6 @@ class BatchTransientResult:
         to each time point.
     mode:
         Evaluation strategy (``"incremental"`` or ``"single-pass"``).
-    kernel:
-        The compute kernel that actually ran (``"scipy"`` or
-        ``"compiled"``).
     n_segments:
         Number of distinct propagation segments (deduplicated time points).
     iterations_saved:
@@ -200,7 +184,6 @@ class BatchTransientResult:
     iterations: int
     truncation_error: FloatArray
     mode: str = "incremental"
-    kernel: str = "scipy"
     n_segments: int = 0
     iterations_saved: int = 0
     steady_state_time: float | None = None
@@ -245,20 +228,6 @@ class TransientPropagator:
     validate:
         When ``True`` (default) the generator is validated once here, and
         initial distributions are checked in every solve call.
-    kernel:
-        Compute kernel for the inner product/accumulate loops:
-        ``"scipy"`` (the reference path), ``"compiled"`` (numba-jitted
-        CSR routines; degrades gracefully to ``"scipy"`` when numba is
-        missing or the chain is matrix-free) or ``"auto"`` (the default:
-        compiled exactly when it is applicable).  See
-        :mod:`repro.markov.kernels`.
-    xp:
-        Optional array namespace (e.g. the ``cupy`` module) for
-        matrix-free chains: iteration blocks and result accumulators then
-        live on that namespace's device and the Kronecker contractions
-        run there, with one host transfer at the end of each solve.  The
-        default (``None``) is plain numpy; assembled CSR chains are
-        CPU-only and reject a non-numpy namespace.
     """
 
     def __init__(
@@ -267,8 +236,6 @@ class TransientPropagator:
         *,
         rate: float | None = None,
         validate: bool = True,
-        kernel: str = "auto",
-        xp: ModuleType | None = None,
     ) -> None:
         self._matrix_free = isinstance(generator, KroneckerGenerator)
         if self._matrix_free:
@@ -311,15 +278,7 @@ class TransientPropagator:
             self._probability_matrix = (
                 sp.identity(n, format="csr") + matrix / self._rate
             ).tocsr()
-        self._kernel = kernels.build_kernel(
-            self._probability_matrix, kernel, matrix_free=self._matrix_free
-        )
-        if xp is not None and xp is not np and not self._matrix_free:
-            raise ValueError(
-                "assembled CSR chains are CPU-only; a non-numpy array "
-                "namespace requires a matrix-free (Kronecker) chain"
-            )
-        self._xp = np if xp is None else xp
+        self._kernel = kernels.ScipyKernel(self._probability_matrix)
 
     # ------------------------------------------------------------------
     @property
@@ -346,16 +305,6 @@ class TransientPropagator:
     def rate(self) -> float:
         """The uniformisation rate."""
         return self._rate
-
-    @property
-    def kernel(self) -> str:
-        """The compute kernel that actually runs (``"scipy"``/``"compiled"``).
-
-        Reports the *resolved* implementation: an ``"auto"`` or
-        ``"compiled"`` request that fell back (matrix-free chain, numba
-        missing) reads ``"scipy"`` here.
-        """
-        return self._kernel.name
 
     @property
     def n_states(self) -> int:
@@ -388,10 +337,10 @@ class TransientPropagator:
         self, n_batch: int, n_times: int, n_states: int, proj: FloatArray | None
     ) -> FloatArray:
         if proj is None:
-            return self._xp.zeros((n_batch, n_times, n_states))
+            return np.zeros((n_batch, n_times, n_states))
         if proj.ndim == 1:
-            return self._xp.zeros((n_batch, n_times))
-        return self._xp.zeros((n_batch, n_times, proj.shape[1]))
+            return np.zeros((n_batch, n_times))
+        return np.zeros((n_batch, n_times, proj.shape[1]))
 
     @staticmethod
     def _store(
@@ -430,7 +379,6 @@ class TransientPropagator:
             iterations=batch.iterations,
             truncation_error=batch.truncation_error,
             mode=batch.mode,
-            kernel=batch.kernel,
             iterations_saved=batch.iterations_saved,
             steady_state_time=batch.steady_state_time,
             steady_state_iteration=batch.steady_state_iteration,
@@ -514,14 +462,6 @@ class TransientPropagator:
                     f"{self.n_states}"
                 )
 
-        if self._xp is not np:
-            # Device solve: the block and the per-time accumulators live in
-            # the caller-chosen namespace; results come back to the host in
-            # one transfer below.
-            alphas = self._xp.asarray(alphas)
-            if proj is not None:
-                proj = self._xp.asarray(proj)
-
         # Deduplicate and sort once: repeated time points share one Poisson
         # window, and the incremental chain requires ascending segments.
         unique_times, inverse = np.unique(times_array, return_inverse=True)
@@ -535,12 +475,11 @@ class TransientPropagator:
 
         return BatchTransientResult(
             times=times_array,
-            values=to_host(solved.values[:, inverse]),
+            values=solved.values[:, inverse],
             rate=self._rate,
             iterations=solved.iterations,
             truncation_error=solved.truncation_error[inverse],
             mode=mode,
-            kernel=self._kernel.name,
             n_segments=int(unique_times.size),
             iterations_saved=solved.iterations_saved,
             steady_state_time=solved.steady_state_time,
@@ -695,8 +634,7 @@ class TransientPropagator:
             else:
                 tol = fixed_tol
             # The segment's products, weighted accumulation and
-            # steady-state change tracking all run inside the selected
-            # kernel (one fused jitted call on the compiled path).
+            # steady-state change tracking all run inside the kernel.
             progress: Callable[[int], None] | None = None
             if callback is not None:
                 base = performed
@@ -771,7 +709,6 @@ def uniformized_transient(
     callback: Callable[[int, int], None] | None = None,
     mode: str = "incremental",
     steady_state_tol: float | None = None,
-    kernel: str = "auto",
 ) -> UniformizationResult:
     """Compute transient state distributions at one or more time points.
 
@@ -781,9 +718,7 @@ def uniformized_transient(
     :class:`TransientPropagator` once instead, which skips the re-validation
     and re-uniformisation of the generator on every call.
     """
-    propagator = TransientPropagator(
-        generator, rate=rate, validate=validate, kernel=kernel
-    )
+    propagator = TransientPropagator(generator, rate=rate, validate=validate)
     return propagator.transient(
         initial_distribution,
         times,

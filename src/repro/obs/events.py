@@ -47,7 +47,7 @@ def clear_handlers() -> None:
 def emit(event: Any) -> None:
     """Deliver *event* to every registered handler, registration order.
 
-    Usable directly as a ``run_sweep(progress=...)`` callback; with no
+    Usable directly as a ``RunOptions(progress=emit)`` callback; with no
     handlers registered it is a no-op.
     """
     for handler in list(_handlers):

@@ -118,7 +118,6 @@ class LifetimeQuery:
             ("seed", int),
             ("horizon", float),
             ("transient_mode", str),
-            ("kernel", str),
         ):
             if payload.get(name) is not None:
                 optional[name] = caster(payload[name])

@@ -108,12 +108,15 @@ class LifetimeService:
     Parameters
     ----------
     store:
-        The shared result store.  Defaults to an in-memory
+        The shared result store.  Defaults to a
         :class:`~repro.engine.sweep.SweepCache` bounded to
-        *max_entries*; pass a disk-backed cache to share results with
-        batch sweeps and across restarts.
+        *max_entries*, in memory or on ``options.cache_dir``; pass a
+        disk-backed cache to share results with batch sweeps and across
+        restarts.
     max_entries:
-        LRU bound of the default store (ignored when *store* is given).
+        LRU bound of the in-memory tier of the store the service builds
+        (ignored when a store is passed as *store* or ``options.cache``).
+        Entries evicted from a disk-backed store reload from disk.
     options:
         :class:`~repro.engine.options.RunOptions` shared with
         :func:`~repro.engine.sweep.run_sweep`; the service honours its
@@ -143,9 +146,9 @@ class LifetimeService:
     ) -> None:
         self.options = options or RunOptions()
         if store is None:
-            store = self.options.resolve_cache()
+            store = self.options.cache
         if store is None:
-            store = SweepCache(max_entries=max_entries)
+            store = SweepCache(self.options.cache_dir, max_entries=max_entries)
         self.store = store
         self.workspace = workspace if workspace is not None else SolveWorkspace(horizon_caps=False)
         self._lock = threading.Lock()

@@ -101,8 +101,12 @@ class TestVerbs:
         assert len(cache) == 1
 
     def test_sweep_rejects_legacy_kwargs(self) -> None:
+        from repro.engine import run_sweep
+
         with pytest.raises(TypeError):
             api.sweep([make_problem()], "mrm-uniformization", max_workers=1)
+        with pytest.raises(TypeError):
+            run_sweep([make_problem()], "mrm-uniformization", max_workers=1)
 
     def test_serve(self) -> None:
         service = api.serve(max_entries=4)

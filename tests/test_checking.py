@@ -32,8 +32,8 @@ from repro.checking import (
 from repro.core.discretization import discretize
 from repro.core.kibamrm import KiBaMRM
 from repro.engine.diagnostics import DIAGNOSTIC_KEYS, validate_diagnostics
-from repro.markov.kernels import CompiledKernel, ScipyKernel, build_kernel
-from repro.markov.kronecker import KroneckerGenerator, KroneckerTerm
+from repro.markov.kernels import ScipyKernel
+from repro.markov.kronecker import KroneckerGenerator, KroneckerTerm, UniformizedOperator
 from repro.multibattery.policies import (
     BestOfPolicy,
     RoundRobinPolicy,
@@ -65,8 +65,8 @@ def test_kronecker_generator_satisfies_generator_operator() -> None:
 def test_kernels_satisfy_uniformization_kernel() -> None:
     matrix = sp.csr_matrix(np.eye(4))
     assert isinstance(ScipyKernel(matrix), UniformizationKernel)
-    assert isinstance(CompiledKernel(matrix), UniformizationKernel)
-    assert isinstance(build_kernel(matrix), UniformizationKernel)
+    operator = UniformizedOperator(small_kronecker(), rate=2.0)
+    assert isinstance(ScipyKernel(operator), UniformizationKernel)
 
 
 def test_policies_satisfy_scheduler_policy() -> None:

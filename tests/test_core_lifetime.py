@@ -1,15 +1,13 @@
-"""Tests for the lifetime-distribution solver and the convenience builder."""
+"""Tests of the Markovian-approximation lifetime solve (``mrm-uniformization``)."""
 
 import numpy as np
 import pytest
 
+import repro.api as api
 from repro.battery.parameters import KiBaMParameters
-from repro.core.builder import compute_lifetime_distribution, default_time_grid
 from repro.core.kibamrm import KiBaMRM
-from repro.core.lifetime import LifetimeSolver, lifetime_distribution
 from repro.reward.occupation import two_level_lifetime_cdf
 from repro.workload.onoff import onoff_workload
-from repro.workload.simple import simple_workload
 
 
 @pytest.fixture
@@ -24,10 +22,18 @@ def fast_onoff_model():
     return KiBaMRM(workload=workload, battery=battery)
 
 
+def approximation(model: KiBaMRM, times, delta: float) -> api.LifetimeResult:
+    """The Markovian approximation of *model*'s lifetime CDF on *times*."""
+    problem = api.LifetimeProblem(
+        workload=model.workload, battery=model.battery, times=times, delta=delta
+    )
+    return api.solve(problem, "mrm-uniformization")
+
+
 class TestLifetimeSolver:
     def test_cdf_is_monotone_and_bounded(self, fast_onoff_model):
         times = np.linspace(200.0, 4000.0, 20)
-        curve = LifetimeSolver(fast_onoff_model, delta=10.0).solve(times)
+        curve = approximation(fast_onoff_model, times, delta=10.0)
         assert np.all(curve.probabilities >= 0.0)
         assert np.all(curve.probabilities <= 1.0)
         assert np.all(np.diff(curve.probabilities) >= -1e-9)
@@ -36,12 +42,12 @@ class TestLifetimeSolver:
         # Draining 600 As at 0.96 A takes 625 s even without idle periods; the
         # phase-type approximation smears a little mass below that bound, but
         # it must stay negligible well before it.
-        curve = LifetimeSolver(fast_onoff_model, delta=10.0).solve([300.0, 600.0])
+        curve = approximation(fast_onoff_model, [300.0, 600.0], delta=10.0)
         assert curve.probabilities[0] < 1e-6
         assert curve.probabilities[1] < 0.02
 
     def test_probability_approaches_one_for_long_horizons(self, fast_onoff_model):
-        curve = LifetimeSolver(fast_onoff_model, delta=10.0).solve([20000.0])
+        curve = approximation(fast_onoff_model, [20000.0], delta=10.0)
         assert curve.probabilities[0] > 0.99
 
     def test_finer_delta_approaches_exact_solution(self, fast_onoff_model):
@@ -56,30 +62,25 @@ class TestLifetimeSolver:
         )
         errors = []
         for delta in (50.0, 25.0, 10.0):
-            curve = LifetimeSolver(fast_onoff_model, delta=delta).solve(times)
+            curve = approximation(fast_onoff_model, times, delta=delta)
             errors.append(float(np.max(np.abs(curve.probabilities - exact))))
         assert errors[0] > errors[-1]
         assert errors[-1] < 0.12
 
     def test_metadata_is_recorded(self, fast_onoff_model):
-        solver = LifetimeSolver(fast_onoff_model, delta=20.0)
-        curve = solver.solve([1000.0, 2000.0])
-        assert curve.metadata["method"] == "markovian-approximation"
-        assert curve.metadata["delta"] == 20.0
-        assert curve.metadata["n_states"] == solver.n_states
-        assert curve.metadata["iterations"] > 0
+        result = approximation(fast_onoff_model, [1000.0, 2000.0], delta=20.0)
+        n_levels = int(fast_onoff_model.battery.capacity / 20.0) + 1
+        assert result.method == "mrm-uniformization"
+        assert result.diagnostics["delta"] == 20.0
+        assert result.diagnostics["n_states"] == fast_onoff_model.workload.n_states * n_levels
+        assert result.diagnostics["iterations"] > 0
 
     def test_mean_lifetime_close_to_expected_consumption_time(self, fast_onoff_model):
         # The mean current is 0.48 A, so the 600 As battery lasts roughly
         # 1250 s (plus phase-type spread).
-        mean = LifetimeSolver(fast_onoff_model, delta=10.0).mean_lifetime(horizon=6000.0)
-        assert mean == pytest.approx(1250.0, rel=0.15)
-
-    def test_one_shot_wrapper_matches_solver(self, fast_onoff_model):
-        times = [1000.0, 1500.0]
-        via_solver = LifetimeSolver(fast_onoff_model, delta=20.0).solve(times)
-        via_wrapper = lifetime_distribution(fast_onoff_model, times, delta=20.0)
-        assert np.allclose(via_solver.probabilities, via_wrapper.probabilities)
+        times = np.linspace(6000.0 / 200, 6000.0, 200)
+        curve = approximation(fast_onoff_model, times, delta=10.0)
+        assert curve.distribution.mean_lifetime() == pytest.approx(1250.0, rel=0.15)
 
     def test_two_well_solver_runs_and_is_slower_to_empty(self):
         workload = onoff_workload(frequency=0.01, erlang_k=1)
@@ -90,29 +91,8 @@ class TestLifetimeSolver:
             workload=workload, battery=KiBaMParameters(capacity=375.0, c=1.0, k=0.0)
         )
         times = np.linspace(400.0, 2500.0, 8)
-        partial_curve = LifetimeSolver(partial, delta=12.5).solve(times)
-        available_curve = LifetimeSolver(only_available, delta=12.5).solve(times)
+        partial_curve = approximation(partial, times, delta=12.5)
+        available_curve = approximation(only_available, times, delta=12.5)
         # With the bound charge feeding the available well the battery lasts
         # longer than with the available part alone (Figure 9 ordering).
         assert np.all(partial_curve.probabilities <= available_curve.probabilities + 0.02)
-
-
-class TestBuilder:
-    def test_default_time_grid_spans_ideal_lifetime(self, paper_battery):
-        workload = simple_workload()
-        grid = default_time_grid(workload, paper_battery)
-        ideal = paper_battery.capacity / workload.mean_current()
-        assert grid[0] < ideal < grid[-1]
-
-    def test_default_time_grid_rejects_zero_current(self, paper_battery):
-        workload = simple_workload(idle_current_ma=0.0, send_current_ma=0.0, sleep_current_ma=0.0)
-        with pytest.raises(ValueError):
-            default_time_grid(workload, paper_battery)
-
-    def test_compute_lifetime_distribution_end_to_end(self):
-        workload = onoff_workload(frequency=0.01)
-        battery = KiBaMParameters(capacity=600.0, c=1.0, k=0.0)
-        curve = compute_lifetime_distribution(workload, battery, delta=20.0, label="quick")
-        assert curve.label == "quick"
-        assert curve.probabilities[-1] > 0.9
-        assert curve.n_points == 120

@@ -240,17 +240,18 @@ class TestWorkspaceReuse:
         assert workspace.build_hits == 1
 
     def test_core_solver_reuses_propagator(self, onoff):
-        from repro.core.kibamrm import KiBaMRM
-        from repro.core.lifetime import LifetimeSolver
-
-        solver = LifetimeSolver(
-            KiBaMRM(workload=onoff, battery=KiBaMParameters(capacity=720.0, c=1.0, k=0.0)),
+        workspace = SolveWorkspace()
+        problem = LifetimeProblem(
+            workload=onoff,
+            battery=KiBaMParameters(capacity=720.0, c=1.0, k=0.0),
+            times=[1000.0, 2000.0],
             delta=10.0,
         )
-        first = solver.propagator
-        solver.solve([1000.0, 2000.0])
-        solver.solve([1500.0])
-        assert solver.propagator is first
+        solve_lifetime(problem, "mrm-uniformization", workspace=workspace)
+        (first,) = workspace.propagators.values()
+        solve_lifetime(problem.with_times([1500.0]), "mrm-uniformization", workspace=workspace)
+        (again,) = workspace.propagators.values()
+        assert again is first
 
 
 class TestScenarioBatch:

@@ -1,40 +1,28 @@
-"""Tests of the pluggable uniformisation compute kernels.
+"""Tests of the uniformisation compute kernel.
 
-Covers :mod:`repro.markov.kernels` -- the knob resolution (including the
-graceful fallback when numba is not importable), the reference segment
-loop's steady-state detection contract, and hypothesis property tests
-asserting that every kernel choice produces identical transient
-distributions on random chains, both for assembled CSR matrices and for
-matrix-free product-chain operators.  The numba-specific assertions are
-skip-gated so the file passes (and still checks the fallback pipeline)
-in environments without the ``[speed]`` extra.
+Covers :mod:`repro.markov.kernels` -- the segment loop's steady-state
+detection contract, a hypothesis property test that both transient modes
+compute the same law on random chains, the matrix-free product-chain
+operators against the assembled chain, the shared Poisson window table
+and the per-workspace Poisson cache accounting.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
 from repro.battery.parameters import KiBaMParameters
-from repro.engine import solve_lifetime
-from repro.engine.batch import ScenarioBatch, chain_merge_key
+from repro.engine.batch import ScenarioBatch
 from repro.engine.problem import LifetimeProblem
 from repro.engine.workspace import SolveWorkspace
 from repro.markov.kernels import (
-    KERNEL_CHOICES,
     SEGMENT_COMPLETED,
     SEGMENT_START_INVARIANT,
     SEGMENT_TAIL_COLLAPSED,
-    CompiledKernel,
-    ScipyKernel,
-    _set_numba_probe,
-    build_kernel,
-    numba_available,
-    resolve_kernel,
     segment_python,
 )
 from repro.markov.kronecker import UniformizedOperator
@@ -48,14 +36,6 @@ from repro.markov.uniformization import TransientPropagator
 from repro.multibattery import MultiBatterySystem
 from repro.multibattery.policies import get_policy
 from repro.workload.base import WorkloadModel
-
-
-@pytest.fixture
-def probe():
-    """Force the numba probe for a test, restoring the real probe after."""
-
-    yield _set_numba_probe
-    _set_numba_probe(None)
 
 
 @st.composite
@@ -100,52 +80,7 @@ def two_battery_chains():
 
 
 # ----------------------------------------------------------------------
-# Knob resolution and graceful degradation.
-# ----------------------------------------------------------------------
-class TestResolution:
-    def test_unknown_kernel_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            resolve_kernel("turbo", matrix_free=False)
-
-    def test_matrix_free_always_resolves_to_scipy(self):
-        for choice in KERNEL_CHOICES:
-            assert resolve_kernel(choice, matrix_free=True) == "scipy"
-
-    def test_scipy_is_never_upgraded(self, probe):
-        probe(True)
-        assert resolve_kernel("scipy", matrix_free=False) == "scipy"
-
-    def test_auto_and_compiled_follow_the_probe(self, probe):
-        probe(False)
-        assert resolve_kernel("auto", matrix_free=False) == "scipy"
-        assert resolve_kernel("compiled", matrix_free=False) == "scipy"
-        probe(True)
-        assert resolve_kernel("auto", matrix_free=False) == "compiled"
-        assert resolve_kernel("compiled", matrix_free=False) == "compiled"
-
-    def test_probe_reflects_reality(self):
-        assert isinstance(numba_available(), bool)
-        expected = "compiled" if numba_available() else "scipy"
-        assert resolve_kernel("auto", matrix_free=False) == expected
-
-    def test_build_kernel_fallback_without_numba(self, probe):
-        probe(False)
-        matrix = sp.identity(3, format="csr")
-        built = build_kernel(matrix, "compiled")
-        assert type(built) is ScipyKernel
-        assert built.name == "scipy"
-
-    def test_compiled_kernel_constructor_degrades(self, probe):
-        probe(False)
-        matrix = sp.random(6, 6, density=0.5, format="csr", random_state=7)
-        kernel = CompiledKernel(matrix)
-        assert kernel.name == "scipy"
-        block = np.arange(12.0).reshape(2, 6)
-        np.testing.assert_allclose(kernel.spmm(block), block @ matrix)
-
-
-# ----------------------------------------------------------------------
-# The reference segment loop's detection contract.
+# The segment loop's detection contract.
 # ----------------------------------------------------------------------
 class TestSegmentLoop:
     def _mixture(self, matrix, v, weights, left, right):
@@ -210,83 +145,33 @@ class TestSegmentLoop:
 
 
 # ----------------------------------------------------------------------
-# Every kernel choice computes identical transient laws.
+# The kernel computes the same transient law in both modes.
 # ----------------------------------------------------------------------
 class TestKernelEquivalence:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        generator=random_generators(),
-        horizon=st.floats(min_value=0.5, max_value=25.0),
-    )
-    def test_kernels_agree_on_random_chains(self, generator, horizon):
-        alpha = np.zeros(generator.shape[0])
-        alpha[0] = 1.0
-        times = np.linspace(horizon / 3.0, horizon, 3)
-        reference = None
-        for choice in KERNEL_CHOICES:
-            propagator = TransientPropagator(generator, kernel=choice)
-            result = propagator.transient(alpha, times)
-            assert propagator.kernel in ("scipy", "compiled")
-            if reference is None:
-                reference = result.distributions
-            else:
-                np.testing.assert_allclose(
-                    result.distributions, reference, atol=1e-12
-                )
-
     @settings(max_examples=15, deadline=None)
     @given(generator=random_generators())
     def test_modes_agree_per_kernel(self, generator):
         alpha = np.zeros(generator.shape[0])
         alpha[0] = 1.0
         times = np.array([1.0, 4.0, 16.0])
-        for choice in ("scipy", "compiled"):
-            propagator = TransientPropagator(generator, kernel=choice)
-            incremental = propagator.transient(alpha, times, mode="incremental")
-            single = propagator.transient(alpha, times, mode="single-pass")
-            np.testing.assert_allclose(
-                incremental.distributions, single.distributions, atol=1e-10
-            )
-
-    def test_propagator_reports_the_resolved_kernel(self, probe):
-        generator = np.array([[-1.0, 1.0], [2.0, -2.0]])
-        probe(False)
-        assert TransientPropagator(generator, kernel="compiled").kernel == "scipy"
-        assert TransientPropagator(generator, kernel="auto").kernel == "scipy"
-        assert TransientPropagator(generator, kernel="scipy").kernel == "scipy"
-
-    @pytest.mark.skipif(not numba_available(), reason="numba not installed")
-    def test_compiled_kernel_actually_compiles(self):
-        generator = np.array(
-            [[-1.0, 0.7, 0.3], [0.5, -1.5, 1.0], [0.2, 0.8, -1.0]]
-        )
-        alpha = np.array([1.0, 0.0, 0.0])
-        times = np.array([0.5, 2.0, 8.0])
-        compiled = TransientPropagator(generator, kernel="compiled")
-        assert compiled.kernel == "compiled"
-        scipy_side = TransientPropagator(generator, kernel="scipy")
+        propagator = TransientPropagator(generator)
+        incremental = propagator.transient(alpha, times, mode="incremental")
+        single = propagator.transient(alpha, times, mode="single-pass")
         np.testing.assert_allclose(
-            compiled.transient(alpha, times).distributions,
-            scipy_side.transient(alpha, times).distributions,
-            atol=1e-12,
+            incremental.distributions, single.distributions, atol=1e-10
         )
 
 
 # ----------------------------------------------------------------------
-# Matrix-free operators: forced scipy kernel, fused uniformised apply.
+# Matrix-free operators: the scipy kernel, fused uniformised apply.
 # ----------------------------------------------------------------------
 class TestMatrixFreeKernels:
     def test_matrix_free_chain_forces_scipy_and_matches_assembled(self):
         assembled, matrix_free = two_battery_chains()
         alpha = np.asarray(assembled.initial_distribution, dtype=float)
         times = np.array([200.0, 800.0, 2000.0])
-        reference = TransientPropagator(
-            assembled.generator, kernel="scipy"
-        ).transient(alpha, times)
-        operator_side = TransientPropagator(
-            matrix_free.generator, kernel="compiled"
-        )
-        assert operator_side.kernel == "scipy"
+        reference = TransientPropagator(assembled.generator).transient(alpha, times)
+        operator_side = TransientPropagator(matrix_free.generator)
         np.testing.assert_allclose(
             operator_side.transient(alpha, times).distributions,
             reference.distributions,
@@ -344,61 +229,6 @@ class TestSharedPoissonWindows:
 
 
 # ----------------------------------------------------------------------
-# Engine threading of the kernel knob.
-# ----------------------------------------------------------------------
-class TestEngineKernelKnob:
-    def _problem(self, **kwargs) -> LifetimeProblem:
-        workload = WorkloadModel(
-            state_names=("on",),
-            generator=np.zeros((1, 1)),
-            currents=np.array([0.5]),
-            initial_distribution=np.array([1.0]),
-        )
-        battery = KiBaMParameters(capacity=20.0, c=1.0, k=0.0)
-        return LifetimeProblem(
-            workload=workload,
-            battery=battery,
-            times=np.linspace(5.0, 60.0, 4),
-            delta=battery.available_capacity / 8.0,
-            **kwargs,
-        )
-
-    def test_problem_validates_the_kernel(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            self._problem(kernel="turbo")
-        assert self._problem().with_kernel("scipy").kernel == "scipy"
-
-    def test_solve_reports_kernel_and_poisson_counters(self):
-        result = solve_lifetime(self._problem(kernel="scipy"), method="mrm-uniformization")
-        assert result.diagnostics["kernel"] == "scipy"
-        assert "poisson_shared_cache_hits" in result.diagnostics
-
-    def test_kernels_join_the_merge_key_but_not_fingerprints(self):
-        from repro.engine.sweep import scenario_fingerprint
-
-        scipy_side = self._problem(kernel="scipy")
-        auto_side = self._problem(kernel="auto")
-        assert chain_merge_key(scipy_side) != chain_merge_key(auto_side)
-        assert scenario_fingerprint(scipy_side, "mrm-uniformization") == scenario_fingerprint(
-            auto_side, "mrm-uniformization"
-        )
-
-    def test_batch_solves_mixed_kernels_identically(self):
-        batch = ScenarioBatch(
-            [
-                self._problem(kernel="scipy").with_label("scipy"),
-                self._problem(kernel="auto").with_label("auto"),
-            ]
-        )
-        outcome = batch.run("mrm-uniformization")
-        np.testing.assert_allclose(
-            outcome[0].distribution.probabilities,
-            outcome[1].distribution.probabilities,
-            atol=1e-12,
-        )
-
-
-# ----------------------------------------------------------------------
 # Workspace-level Poisson cache accounting.
 # ----------------------------------------------------------------------
 class TestWorkspacePoissonAccounting:
@@ -410,7 +240,7 @@ class TestWorkspacePoissonAccounting:
     ``diagnostics()`` is called repeatedly.
     """
 
-    def _problem(self, **kwargs) -> LifetimeProblem:
+    def _problem(self) -> LifetimeProblem:
         workload = WorkloadModel(
             state_names=("on",),
             generator=np.zeros((1, 1)),
@@ -423,7 +253,6 @@ class TestWorkspacePoissonAccounting:
             battery=battery,
             times=np.linspace(5.0, 60.0, 4),
             delta=battery.available_capacity / 8.0,
-            **kwargs,
         )
 
     def test_workspace_baselines_isolate_earlier_activity(self):
@@ -464,20 +293,17 @@ class TestWorkspacePoissonAccounting:
             counters = registry.snapshot()["counters"]
             assert counters["poisson_cache_hits"] == reported["poisson_cache_hits"] == 2
 
-    def test_mixed_kernel_batch_reports_accurate_poisson_totals(self):
+    def test_batch_reports_accurate_poisson_totals(self):
         clear_poisson_caches()
-        problems = [
-            self._problem(kernel="scipy").with_label("scipy"),
-            self._problem(kernel="auto").with_label("auto"),
-        ]
+        problems = [self._problem().with_label("a"), self._problem().with_label("b")]
         with obs.override_metrics() as registry:
             workspace = SolveWorkspace()
             outcome = ScenarioBatch(problems).run("mrm-uniformization", workspace=workspace)
             reported = workspace.diagnostics()
             counters = registry.snapshot()["counters"]
         assert len(outcome) == 2
-        # Both kernels uniformise the same chain, so the windows computed
-        # for one are hits for the other; the totals the workspace reports
+        # The evenly spaced grid repeats one segment gap, so its window is
+        # a miss once and a hit after; the totals the workspace reports
         # are exactly what reached the registry, despite the per-result
         # diagnostics() calls in between.
         assert reported["poisson_cache_misses"] >= 1

@@ -5,8 +5,8 @@ asserted through the ``repro.obs`` solve counters; distinct-fingerprint
 queries never share results), the fingerprint-keyed result store with
 LRU eviction and per-window resettable counters, the warm-workspace
 reuse across requests, schema-validated response diagnostics, the
-``RunOptions`` consolidation with its deprecation shim, and the
-JSONL / HTTP fronts of ``tools/repro_serve.py``.
+``RunOptions`` consolidation, and the JSONL / HTTP fronts of
+``tools/repro_serve.py``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro import obs
 from repro.battery.parameters import KiBaMParameters
 from repro.checking.fingerprints import audit_fingerprint_registry
 from repro.engine import (
-    ExecutionPolicy,
     RunOptions,
     SweepCache,
     SweepSpec,
@@ -34,6 +33,7 @@ from repro.engine import (
 )
 from repro.engine.diagnostics import validate_diagnostics
 from repro.service import LifetimeQuery, LifetimeService
+from repro.service.server import DEFAULT_STORE_ENTRIES
 from repro.workload.base import WorkloadModel
 
 TIMES = np.linspace(0.0, 300.0, 16)
@@ -340,6 +340,26 @@ class TestStoreEviction:
         with pytest.raises(ValueError, match="max_entries"):
             SweepCache(max_entries=0)
 
+    def test_store_built_from_a_cache_dir_is_lru_bounded(self, tmp_path) -> None:
+        import argparse
+
+        from repro.api import serve
+        from tools.repro_serve import build_service
+
+        via_api = serve(options=RunOptions(cache_dir=tmp_path / "api"), max_entries=1)
+        via_cli = build_service(argparse.Namespace(store=str(tmp_path / "cli"), max_entries=1))
+        for service in (via_api, via_cli):
+            assert service.store.max_entries == 1
+            first, second = make_query(), make_query(delta=3.0)
+            service.submit(first)
+            service.submit(second)
+            assert len(service.store) == 1
+            # The evicted entry reloads from disk instead of re-solving.
+            assert service.submit(first).served_from == "cache"
+            assert service.store.disk_hits == 1
+        default = serve(options=RunOptions(cache_dir=tmp_path / "default"))
+        assert default.store.max_entries == DEFAULT_STORE_ENTRIES
+
 
 class TestRunOptions:
     def test_validation(self) -> None:
@@ -347,13 +367,6 @@ class TestRunOptions:
             RunOptions(max_workers=0)
         with pytest.raises(ValueError, match="failure_mode"):
             RunOptions(failure_mode="shrug")
-
-    def test_merged_overrides_only_non_none(self) -> None:
-        base = RunOptions(max_workers=2, failure_mode="degrade")
-        merged = base.merged(max_workers=4, executor=None)
-        assert merged.max_workers == 4
-        assert merged.failure_mode == "degrade"
-        assert base.merged() is base
 
     def test_resolve_cache_prefers_explicit(self, tmp_path) -> None:
         cache = SweepCache()
@@ -374,30 +387,6 @@ class TestRunOptions:
                 options=RunOptions(max_workers=1),
             )
         assert len(outcome.results) == 1
-
-    def test_run_sweep_legacy_kwargs_deprecated_with_migration(self) -> None:
-        with pytest.warns(DeprecationWarning, match=r"options=RunOptions\(max_workers=\.\.\.\)"):
-            run_sweep([make_query().problem], "mrm-uniformization", max_workers=1)
-
-    def test_run_sweep_legacy_kwargs_still_work(self) -> None:
-        cache = SweepCache()
-        with pytest.warns(DeprecationWarning):
-            run_sweep(
-                [make_query().problem], "mrm-uniformization", max_workers=1, cache=cache
-            )
-        assert len(cache) == 1
-
-    def test_legacy_kwargs_override_options(self) -> None:
-        policy = ExecutionPolicy(max_retries=0)
-        with pytest.warns(DeprecationWarning):
-            outcome = run_sweep(
-                [make_query().problem],
-                "mrm-uniformization",
-                options=RunOptions(max_workers=2),
-                max_workers=1,
-                execution=policy,
-            )
-        assert outcome.diagnostics["n_workers"] == 1
 
 
 class TestServeFronts:

@@ -140,6 +140,40 @@ class TestFingerprint:
             reseeded, "monte-carlo"
         )
 
+    def test_fingerprints_are_pinned(self):
+        # Existing cache directories keep hitting only while these hex
+        # strings (and the envelope version) stay what earlier releases
+        # wrote; a change here must bump CACHE_SCHEMA_VERSION on purpose.
+        from repro.multibattery import MultiBatteryProblem
+        from repro.workload.base import WorkloadModel
+
+        workload = WorkloadModel(
+            state_names=("busy", "idle"),
+            generator=np.array([[-0.02, 0.02], [0.02, -0.02]]),
+            currents=np.array([1.0, 0.05]),
+            initial_distribution=np.array([1.0, 0.0]),
+        )
+        battery = KiBaMParameters(capacity=60.0, c=0.625, k=1e-3)
+        times = np.linspace(0.0, 300.0, 16)
+        single = LifetimeProblem(
+            workload=workload, battery=battery, times=times, delta=2.0, epsilon=1e-6
+        )
+        bank = MultiBatteryProblem(
+            workload=workload,
+            batteries=(battery, battery),
+            times=times,
+            delta=7.5,
+            policy="round-robin",
+            failures_to_die=1,
+        )
+        assert CACHE_SCHEMA_VERSION == 1
+        assert scenario_fingerprint(single, "mrm-uniformization") == (
+            "d173f4f7f846e9066b1f3239c11bc3d7f603fd78cb3548083e620274f79e45e8"
+        )
+        assert scenario_fingerprint(bank, "mrm-uniformization") == (
+            "4ea5baeb332de2a5ed1b95d5b92073f806b34be554cf788dbe0d0c1763f1a2ae"
+        )
+
 
 class TestRunSweep:
     def test_serial_and_parallel_identical(self, spec):

@@ -196,6 +196,7 @@ class TestEngineThreading:
         assert result.diagnostics["n_segments"] == 40
         assert result.diagnostics["iterations_saved"] >= 0
         assert "steady_state_time" in result.diagnostics
+        assert "poisson_shared_cache_hits" in result.diagnostics
 
     def test_modes_agree_through_the_engine(self):
         from repro.engine import solve_lifetime

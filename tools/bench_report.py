@@ -6,13 +6,14 @@ regenerates and diffs is flattened into one performance table -- metric,
 value, the gate it is held to (where the record declares one), and the
 git commit / timestamp the numbers were measured at -- so a reviewer can
 read the whole perf surface of a revision in one place instead of
-opening each JSON record.
+opening each JSON record.  Below the table the report gives the size of
+the library: the total line count of ``src/**/*.py``.
 
 Gate pairing is by convention: within a record section's ``results``
 mapping, keys named ``required_*`` / ``min_*`` are ``>=`` gates,
 ``max_allowed_*`` / ``tolerance`` are ``<=`` gates, and each gate is
 attached to the metric rows sharing its final word stem (so
-``required_compiled_speedup`` annotates the ``*_speedup`` metrics and
+``required_fused_speedup`` annotates the ``*_speedup`` metrics and
 ``tolerance`` annotates the ``*_diff`` / ``*_error`` metrics).
 
 The module only reads JSON -- it never imports the benchmark code -- so
@@ -28,7 +29,10 @@ import sys
 from pathlib import Path
 from typing import Any, Iterable
 
-__all__ = ["collect_rows", "load_records", "render_markdown"]
+__all__ = ["collect_rows", "load_records", "render_markdown", "src_line_count"]
+
+#: The library sources whose size the report states.
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 #: ``results`` keys that state a bound rather than a measurement, mapped
 #: to the comparison their metrics are held to.
@@ -105,13 +109,22 @@ def collect_rows(records: dict[str, dict[str, Any]]) -> list[dict[str, str]]:
     return rows
 
 
-def render_markdown(rows: list[dict[str, str]]) -> str:
-    """Render the rows as one GitHub-flavoured markdown table."""
+def src_line_count(root: Path = SRC_DIR) -> int:
+    """Total number of lines of the Python files under *root*, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in root.rglob("*.py"))
+
+
+def render_markdown(rows: list[dict[str, str]], src_lines: int) -> str:
+    """Render the rows as one GitHub-flavoured markdown table.
+
+    *src_lines* is stated below the table as the size of ``src/``.
+    """
     columns = ("record", "section", "metric", "value", "gate", "git", "timestamp")
     lines = ["# Benchmark report", ""]
+    footer = ["", f"`src/` size: {src_lines} lines of Python (`src/**/*.py`)."]
     if not rows:
         lines.append("No benchmark records found.")
-        return "\n".join(lines)
+        return "\n".join(lines + footer)
     widths = {
         column: max(len(column), *(len(row[column]) for row in rows)) for column in columns
     }
@@ -121,7 +134,7 @@ def render_markdown(rows: list[dict[str, str]]) -> str:
         lines.append(
             "| " + " | ".join(row[column].ljust(widths[column]) for column in columns) + " |"
         )
-    return "\n".join(lines)
+    return "\n".join(lines + footer)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -147,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
     if not paths:
         print("error: no BENCH_*.json records found", file=sys.stderr)
         return 1
-    report = render_markdown(collect_rows(load_records(paths)))
+    report = render_markdown(collect_rows(load_records(paths)), src_line_count())
     if arguments.output is None:
         print(report)
     else:
