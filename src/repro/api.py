@@ -31,7 +31,7 @@ for the old-to-new mapping.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.battery.parameters import KiBaMParameters
 from repro.engine.batch import BatchResult, ScenarioBatch
@@ -48,7 +48,7 @@ from repro.engine.sweep import (
     scenario_fingerprint,
 )
 from repro.engine.workspace import SolveWorkspace
-from repro.service import LifetimeQuery, LifetimeService, ServiceResponse
+from repro.service import DEFAULT_STORE_ENTRIES, LifetimeQuery, LifetimeService, ServiceResponse
 from repro.workload.base import WorkloadModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -115,19 +115,15 @@ def sweep(
 
 def serve(
     *,
-    store: SweepCache | None = None,
-    max_entries: int | None = None,
+    max_entries: int | None = DEFAULT_STORE_ENTRIES,
     options: RunOptions | None = None,
-    workspace: "_Workspace | None" = None,
 ) -> LifetimeService:
     """Stand up an in-process :class:`LifetimeService` for lifetime queries.
 
     The service answers repeated queries from its fingerprint-keyed
     store, coalesces concurrent identical requests onto a single solve
     and keeps its workspace warm across requests; see
-    :class:`repro.service.LifetimeService` for the parameters.
+    :class:`repro.service.LifetimeService` for the parameters
+    (``max_entries=None`` leaves the store unbounded).
     """
-    kwargs: dict[str, Any] = {"store": store, "options": options, "workspace": workspace}
-    if max_entries is not None:
-        kwargs["max_entries"] = max_entries
-    return LifetimeService(**kwargs)
+    return LifetimeService(max_entries=max_entries, options=options)

@@ -39,7 +39,6 @@ from repro.checking.contracts import (
 )
 from repro.checking.dense import DEFAULT_DENSE_LIMIT, DenseFallbackError, dense_fallback
 from repro.checking.fingerprints import (
-    EXECUTION_POLICY_EXEMPT,
     FINGERPRINT_FIELDS,
     FingerprintRegistryError,
     audit_fingerprint_registry,
@@ -52,7 +51,6 @@ from repro.checking.protocols import (
     GeneratorOperator,
     IntArray,
     SchedulerPolicy,
-    SweepExecutor,
     UniformizationKernel,
 )
 
@@ -62,7 +60,6 @@ __all__ = [
     "ContractViolationWarning",
     "DenseFallbackError",
     "DiscretizedChain",
-    "EXECUTION_POLICY_EXEMPT",
     "FINGERPRINT_FIELDS",
     "FingerprintRegistryError",
     "FloatArray",
@@ -70,7 +67,6 @@ __all__ = [
     "GeneratorOperator",
     "IntArray",
     "SchedulerPolicy",
-    "SweepExecutor",
     "UniformizationKernel",
     "audit_fingerprint_registry",
     "checks_mode",

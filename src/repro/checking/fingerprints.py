@@ -30,9 +30,7 @@ package.
 from __future__ import annotations
 
 __all__ = [
-    "EXECUTION_POLICY_EXEMPT",
     "FINGERPRINT_FIELDS",
-    "TRACE_EXEMPT",
     "FingerprintRegistryError",
     "audit_fingerprint_registry",
     "registered_fields",
@@ -102,35 +100,8 @@ FINGERPRINT_FIELDS = {
             "horizon",
             "seed",
         ),
-        "exempt": (
-            "transient_mode",
-            # Execution policy (retries, timeouts, backoff, failure mode):
-            # how hard the driver tries cannot change the curve, and a
-            # retried scenario must hit the cache entry its first attempt
-            # would have written.
-            "execution",
-            # Observability: whether (and how verbosely) a sweep was
-            # traced cannot change its results, and a traced re-run must
-            # be served from the untraced run's cache entries.
-            "trace",
-        ),
+        "exempt": ("transient_mode",),
     },
-}
-
-#: Execution-policy fields that must stay fingerprint-*exempt* forever:
-#: :func:`audit_fingerprint_registry` fails if any of them migrates into a
-#: ``relevant`` tuple, so retry/timeout/failure-mode knobs provably never
-#: change sweep cache keys.
-EXECUTION_POLICY_EXEMPT = {
-    "SweepSpec": ("execution",),
-}
-
-#: Trace knobs that must stay fingerprint-*exempt* forever, for the same
-#: reason as :data:`EXECUTION_POLICY_EXEMPT`: observing a sweep (the
-#: ``REPRO_TRACE`` mode carried on the spec) cannot change its curves, so
-#: a traced re-run must hit the cache entries an untraced run wrote.
-TRACE_EXEMPT = {
-    "SweepSpec": ("trace",),
 }
 
 
@@ -202,37 +173,6 @@ def audit_fingerprint_registry() -> None:
                 problems.append(
                     f"{name}: registry names unknown fields {sorted(stale)} "
                     "(renamed or removed?)"
-                )
-    # Execution-policy knobs must stay exempt: if one ever migrates into a
-    # ``relevant`` tuple, retried sweeps would stop hitting the cache
-    # entries their first attempts wrote (and old caches would go stale).
-    for name, exempt_fields in EXECUTION_POLICY_EXEMPT.items():
-        entry = FINGERPRINT_FIELDS.get(name, {"relevant": (), "exempt": ()})
-        for field_name in exempt_fields:
-            if field_name in entry["relevant"]:
-                problems.append(
-                    f"{name}: execution-policy field {field_name!r} must stay "
-                    "fingerprint-exempt (declared relevant)"
-                )
-            elif field_name not in entry["exempt"]:
-                problems.append(
-                    f"{name}: execution-policy field {field_name!r} is missing "
-                    "from the exempt declaration"
-                )
-    # Trace knobs likewise: a traced re-run must hit the cache entries an
-    # untraced run wrote, so the trace mode can never enter a fingerprint.
-    for name, exempt_fields in TRACE_EXEMPT.items():
-        entry = FINGERPRINT_FIELDS.get(name, {"relevant": (), "exempt": ()})
-        for field_name in exempt_fields:
-            if field_name in entry["relevant"]:
-                problems.append(
-                    f"{name}: trace field {field_name!r} must stay "
-                    "fingerprint-exempt (declared relevant)"
-                )
-            elif field_name not in entry["exempt"]:
-                problems.append(
-                    f"{name}: trace field {field_name!r} is missing "
-                    "from the exempt declaration"
                 )
     if problems:
         raise FingerprintRegistryError("; ".join(problems))

@@ -35,7 +35,6 @@ __all__ = [
     "GeneratorOperator",
     "IntArray",
     "SchedulerPolicy",
-    "SweepExecutor",
     "TraceSink",
     "UniformizationKernel",
 ]
@@ -154,40 +153,6 @@ class SchedulerPolicy(Protocol):
 
 
 @runtime_checkable
-class SweepExecutor(Protocol):
-    """An execution backend for sweep chunks, checked by shape.
-
-    :class:`~repro.engine.executor.SerialChunkExecutor` and
-    :class:`~repro.engine.executor.ProcessChunkExecutor` are the shipped
-    implementations (registered as ``"serial"`` / ``"process"``); a
-    distributed backend conforms by submitting opaque chunk tasks and
-    reporting their outcomes -- the retry/split/degrade driver of
-    :func:`~repro.engine.executor.execute_chunks` runs unchanged on top.
-    Tasks and outcomes are deliberately ``Any`` here: this module imports
-    no engine types.
-    """
-
-    name: str
-
-    @property
-    def capacity(self) -> int:
-        """Number of tasks the backend accepts in flight at once."""
-        ...
-
-    def submit(self, task: Any) -> None:
-        """Start (or queue) one chunk task."""
-        ...
-
-    def poll(self, timeout: float | None = None) -> list[Any]:
-        """Wait up to *timeout* seconds and return completed outcomes."""
-        ...
-
-    def shutdown(self) -> None:
-        """Release the backend's resources (kill in-flight work if needed)."""
-        ...
-
-
-@runtime_checkable
 class TraceSink(Protocol):
     """A destination for finished trace spans, checked by shape.
 
@@ -197,8 +162,7 @@ class TraceSink(Protocol):
     implementing these two methods.  Records are plain mappings (the
     :meth:`repro.obs.trace.Span.as_record` shape: ``name``, ``span_id``,
     ``parent_id``, ``start``, ``end``, ``pid`` and optional ``attrs``);
-    this module imports no obs types, mirroring how the executor seam
-    stays engine-free.
+    this module imports no obs types.
     """
 
     def emit(self, record: "Mapping[str, Any]") -> None:

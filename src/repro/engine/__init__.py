@@ -54,8 +54,6 @@ from repro.engine.executor import (
     ScenarioFailure,
     SerialChunkExecutor,
     SweepProgress,
-    available_executors,
-    register_executor,
 )
 from repro.engine.faults import InjectedFaultError, override_faults, parse_faults
 from repro.engine.options import RunOptions
@@ -109,7 +107,6 @@ __all__ = [
     "SweepSpec",
     "UnknownSolverError",
     "UnsupportedProblemError",
-    "available_executors",
     "available_solvers",
     "choose_method",
     "default_delta",
@@ -118,7 +115,6 @@ __all__ = [
     "get_solver",
     "override_faults",
     "parse_faults",
-    "register_executor",
     "register_solver",
     "run_sweep",
     "scenario_fingerprint",

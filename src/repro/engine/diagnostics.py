@@ -104,7 +104,7 @@ DIAGNOSTICS_SCHEMA = {
     "methods": "concrete solver methods the sweep used",
     "cache": "sweep-cache statistics (hits/misses/entries/quarantined)",
     # -- fault-tolerant execution (repro.engine.executor) ----------------
-    "executor": "execution backend that ran the sweep (serial/process/...)",
+    "executor": "execution backend that ran the sweep (serial or process)",
     "failure_mode": "strict (raise) or degrade (partial results) policy",
     "n_retries": "chunk attempts retried after a failure",
     "n_timeouts": "chunk attempts killed by the per-chunk deadline",

@@ -7,26 +7,24 @@ cache until *every* chunk had returned.  This module is the execution
 layer that replaces that call:
 
 * :class:`ExecutionPolicy` -- the retry / timeout / backoff / degradation
-  knobs.  Deliberately excluded from the scenario fingerprints (see
-  :mod:`repro.checking.fingerprints`): how a result was obtained must not
-  change its cache key.
+  knobs.  Deliberately excluded from the scenario fingerprints: how a
+  result was obtained must not change its cache key.
 * :class:`ChunkTask` / :class:`ChunkOutcome` -- one schedulable chunk of
   chain-sharing scenario groups and its completion record.
-* :class:`SerialChunkExecutor` / :class:`ProcessChunkExecutor` -- the two
-  built-in executors behind the ``repro.checking.protocols.SweepExecutor``
-  protocol, registered under ``"serial"`` / ``"process"`` in a small
-  registry (:func:`register_executor`) so a distributed executor can drop
-  in later without touching the sweep driver.  The process executor
-  enforces per-chunk deadlines and survives ``BrokenProcessPool`` by
-  killing and rebuilding its pool; tasks that were merely sharing the
-  pool with the offender are resubmitted without consuming a retry.
+* :class:`SerialChunkExecutor` / :class:`ProcessChunkExecutor` -- the
+  in-process executor and the process-pool executor.  The process
+  executor enforces per-chunk deadlines and survives
+  ``BrokenProcessPool`` by killing and rebuilding its pool; tasks that
+  were merely sharing the pool with the offender are resubmitted without
+  consuming a retry.
 * :func:`execute_chunks` -- the deterministic retry loop: failed chunks
   back off exponentially and are *split* on retry (first into their
   chain-sharing groups, then into single scenarios), so a poison scenario
   is isolated down to a one-scenario chunk instead of poisoning its
-  chunk-mates.  Exhausted failures are handed to the caller, which either
-  raises (``failure_mode="strict"``) or records a
-  :class:`ScenarioFailure` and degrades (``failure_mode="degrade"``).
+  chunk-mates.  It yields each chunk's final outcome -- a validated
+  success or an exhausted failure -- and the caller either raises
+  (``failure_mode="strict"``) or records a :class:`ScenarioFailure` and
+  degrades (``failure_mode="degrade"``).
 
 The layer is exercised end-to-end by the deterministic fault injectors of
 :mod:`repro.engine.faults` (``REPRO_FAULTS``).
@@ -44,7 +42,7 @@ from typing import TYPE_CHECKING, Any
 from repro import obs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from collections.abc import Callable, Mapping, Sequence
+    from collections.abc import Callable, Iterator, Mapping, Sequence
 
 __all__ = [
     "FAILURE_MODES",
@@ -58,16 +56,17 @@ __all__ = [
     "ScenarioFailure",
     "SerialChunkExecutor",
     "SweepProgress",
-    "available_executors",
     "execute_chunks",
-    "get_executor_factory",
-    "register_executor",
 ]
 
 #: What happens when a chunk exhausts its retries: ``"strict"`` raises
 #: :class:`~repro.engine.sweep.SweepScenarioError`, ``"degrade"`` returns a
 #: partial sweep whose failed slots carry :class:`ScenarioFailure` records.
 FAILURE_MODES = ("strict", "degrade")
+
+#: Growth factor and cap (seconds) of the exponential retry backoff.
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX = 5.0
 
 #: One chunk: a tuple of chain-sharing groups, each ``(scenario indices,
 #: concrete method, problems)``.  Problems are typed loosely so this module
@@ -88,27 +87,27 @@ class ExecutionPolicy:
     """Retry / timeout / degradation policy of one sweep run.
 
     None of these knobs can change a solved curve -- they only decide how
-    hard the driver tries to obtain it -- so the whole class is declared
-    fingerprint-exempt in :mod:`repro.checking.fingerprints` and the
-    RPR003 audit asserts it stays that way.
+    hard the driver tries to obtain it -- so none of them feeds the
+    scenario fingerprints.
 
     Attributes
     ----------
     max_retries:
         Additional attempts after the first failure of a chunk (its
-        scenarios' total attempt budget is ``max_retries + 1``).
+        scenarios' total attempt budget is ``max_retries + 1``).  Every
+        retry splits the failed chunk -- first into its chain-sharing
+        groups, then into single scenarios -- so one poison scenario
+        cannot take its chunk-mates down with it.
     chunk_timeout:
         Per-chunk deadline in seconds; on expiry the worker pool is killed
         and rebuilt and the chunk counts as failed (retried like a crash).
         ``None`` disables deadlines.  Only the process executor enforces
-        timeouts -- a serial in-process sweep has nobody to reap it.
-    backoff_base, backoff_factor, backoff_max:
-        Exponential backoff before retry *n* waits
-        ``min(backoff_max, backoff_base * backoff_factor**n)`` seconds.
-    split_on_retry:
-        Split failed chunks on retry -- first into their chain-sharing
-        groups, then into single scenarios -- so one poison scenario
-        cannot take its chunk-mates down with it.
+        timeouts, so a parallel sweep with a deadline always runs its
+        chunks in worker processes; a serial (``max_workers=1``) sweep has
+        nobody to reap a hung solve.
+    backoff_base:
+        Retry *n* waits ``min(BACKOFF_MAX, backoff_base * BACKOFF_FACTOR**n)``
+        seconds.
     failure_mode:
         ``"strict"`` (default) raises after retries are exhausted;
         ``"degrade"`` records :class:`ScenarioFailure` slots and returns a
@@ -118,9 +117,6 @@ class ExecutionPolicy:
     max_retries: int = 2
     chunk_timeout: float | None = None
     backoff_base: float = 0.1
-    backoff_factor: float = 2.0
-    backoff_max: float = 5.0
-    split_on_retry: bool = True
     failure_mode: str = "strict"
 
     def __post_init__(self) -> None:
@@ -128,10 +124,8 @@ class ExecutionPolicy:
             raise ValueError(f"max_retries must be non-negative, got {self.max_retries!r}")
         if self.chunk_timeout is not None and self.chunk_timeout <= 0.0:
             raise ValueError(f"chunk_timeout must be positive, got {self.chunk_timeout!r}")
-        if self.backoff_base < 0.0 or self.backoff_max < 0.0:
-            raise ValueError("backoff_base and backoff_max must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ValueError(f"backoff_factor must be >= 1, got {self.backoff_factor!r}")
+        if self.backoff_base < 0.0:
+            raise ValueError(f"backoff_base must be non-negative, got {self.backoff_base!r}")
         if self.failure_mode not in FAILURE_MODES:
             raise ValueError(
                 f"failure_mode {self.failure_mode!r} is not one of {FAILURE_MODES}"
@@ -139,7 +133,7 @@ class ExecutionPolicy:
 
     def backoff(self, attempt: int) -> float:
         """Backoff delay before resubmitting a chunk that failed *attempt*."""
-        return min(self.backoff_max, self.backoff_base * self.backoff_factor**attempt)
+        return min(BACKOFF_MAX, self.backoff_base * BACKOFF_FACTOR**attempt)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -262,21 +256,13 @@ class ExecutionStats:
 class SerialChunkExecutor:
     """In-process executor: solves one queued task per :meth:`poll`.
 
-    The default for serial sweeps (``max_workers=1``) -- the exact same
+    The executor of serial sweeps (``max_workers=1``) -- the exact same
     retry/split/degrade driver runs on top, so serial and parallel sweeps
     share one fault-handling path.  Deadlines are not enforced: a hung
     in-process solve has nobody left to reap it.
     """
 
-    name: str = "serial"
-
-    def __init__(
-        self,
-        work: "Callable[[ChunkTask], Any]",
-        max_workers: int = 1,
-        timeout: float | None = None,
-    ) -> None:
-        del max_workers, timeout  # one in-process lane; deadlines unenforceable
+    def __init__(self, work: "Callable[[ChunkTask], Any]") -> None:
         self._work = work
         self._queue: list[ChunkTask] = []
         self.pool_rebuilds = 0
@@ -324,14 +310,7 @@ class ProcessChunkExecutor:
       no attempt consumed.
     """
 
-    name: str = "process"
-
-    def __init__(
-        self,
-        work: "Callable[[ChunkTask], Any]",
-        max_workers: int = 1,
-        timeout: float | None = None,
-    ) -> None:
+    def __init__(self, work: "Callable[[ChunkTask], Any]", max_workers: int, timeout: float | None) -> None:
         self._work = work
         self._max_workers = max(1, int(max_workers))
         self._timeout = timeout
@@ -452,63 +431,31 @@ class ProcessChunkExecutor:
 
 
 # ----------------------------------------------------------------------
-#: Executor factories by name; factories are called as
-#: ``factory(work, max_workers=..., timeout=...)``.
-_EXECUTORS: dict[str, "Callable[..., Any]"] = {}
-
-
-def register_executor(name: str, factory: "Callable[..., Any]", *, replace: bool = False) -> None:
-    """Register an executor *factory* under *name* (a distributed backend,
-
-    a test double, ...).  Factories receive the picklable chunk-work
-    callable plus ``max_workers`` and ``timeout`` keywords and must return
-    an object satisfying ``repro.checking.protocols.SweepExecutor``.
-    """
-    if not replace and name in _EXECUTORS:
-        raise ValueError(f"executor {name!r} is already registered (pass replace=True)")
-    _EXECUTORS[name] = factory
-
-
-def get_executor_factory(name: str) -> "Callable[..., Any]":
-    """Look up a registered executor factory by name."""
-    try:
-        return _EXECUTORS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown executor {name!r}; registered: {available_executors()}"
-        ) from None
-
-
-def available_executors() -> tuple[str, ...]:
-    """Names of all registered executors, sorted."""
-    return tuple(sorted(_EXECUTORS))
-
-
-register_executor("serial", SerialChunkExecutor)
-register_executor("process", ProcessChunkExecutor)
-
-
-# ----------------------------------------------------------------------
 def execute_chunks(
     tasks: "Sequence[ChunkTask]",
-    executor: Any,
+    executor: SerialChunkExecutor | ProcessChunkExecutor,
     policy: ExecutionPolicy,
+    stats: ExecutionStats,
     *,
-    on_success: "Callable[[ChunkTask, Any], None]",
-    on_failure: "Callable[[ChunkTask, BaseException, bool], None]",
     validate: "Callable[[ChunkTask, Any], None] | None" = None,
-    on_retry: "Callable[[ChunkTask], None] | None" = None,
-) -> ExecutionStats:
+) -> "Iterator[ChunkOutcome]":
     """Run *tasks* to completion under *policy*'s retry rules.
 
-    The loop keeps at most ``executor.capacity`` tasks in flight, applies
-    *validate* to every successful payload (a :class:`CorruptResultError`
-    turns the success into a retryable failure), retries failures with
-    exponential backoff and optional splitting, and hands exhausted
-    failures to *on_failure* -- which may raise to abort the run (strict
-    mode); the executor is always shut down, killing in-flight workers on
-    an abort.  Backoff is driven by a ready-time priority queue, so a
-    backing-off chunk never blocks other chunks from being submitted.
+    A generator of final outcomes: each yielded :class:`ChunkOutcome` is
+    either a validated success (``error is None``) or a failure that
+    exhausted its retries.  The loop keeps at most ``executor.capacity``
+    tasks in flight, applies *validate* to every successful payload (a
+    :class:`CorruptResultError` turns the success into a retryable
+    failure), and retries failures with exponential backoff, splitting
+    every failed chunk.  Backoff is driven by a ready-time priority queue,
+    so a backing-off chunk never blocks other chunks from being submitted.
+    *stats* is updated in place as the run goes, so a consumer can read
+    the retry count between outcomes.
+
+    The executor is shut down when the generator finishes or is closed,
+    killing in-flight workers; a consumer that may stop early (strict mode
+    raises on the first exhausted failure) should close it
+    deterministically, e.g. with :func:`contextlib.closing`.
 
     When tracing is active (:mod:`repro.obs`), every attempt is recorded
     as a ``chunk_attempt`` span bracketing submit-to-outcome on the
@@ -516,7 +463,6 @@ def execute_chunks(
     spans a worker shipped back inside its payload (any object with a
     ``spans`` attribute) are re-parented under the attempt span.
     """
-    stats = ExecutionStats()
     sequence = 0
     next_id = max((task.task_id for task in tasks), default=-1) + 1
     ready: list[tuple[float, int, ChunkTask]] = []
@@ -562,7 +508,7 @@ def execute_chunks(
                     try:
                         validate(task, outcome.payload)
                     except CorruptResultError as corrupt:
-                        error = corrupt
+                        error = outcome.error = corrupt
                 status = "ok" if error is None else ("timeout" if outcome.timed_out else "failed")
                 attempt_started = submitted.pop(task.task_id, None)
                 attempt_span: str | None = None
@@ -585,7 +531,7 @@ def execute_chunks(
                             parent_id=attempt_span,
                             align_start=attempt_started,
                         )
-                    on_success(task, outcome.payload)
+                    yield outcome
                     continue
                 if outcome.timed_out:
                     stats.n_timeouts += 1
@@ -593,14 +539,12 @@ def execute_chunks(
                 if task.attempt >= policy.max_retries:
                     stats.n_failed_tasks += 1
                     obs.count("executor_exhausted_tasks")
-                    on_failure(task, error, outcome.timed_out)
+                    yield outcome
                     continue
                 stats.n_retries += 1
                 obs.count("executor_retries")
-                if on_retry is not None:
-                    on_retry(task)
                 due = time.monotonic() + policy.backoff(task.attempt)
-                pieces = task.split_groups() if policy.split_on_retry else [task.groups]
+                pieces = task.split_groups()
                 if len(pieces) > 1:
                     stats.n_splits += 1
                     obs.count("executor_splits")
@@ -616,5 +560,4 @@ def execute_chunks(
                     sequence += 1
     finally:
         executor.shutdown()
-    stats.pool_rebuilds = int(getattr(executor, "pool_rebuilds", 0))
-    return stats
+        stats.pool_rebuilds = executor.pool_rebuilds

@@ -2,26 +2,21 @@
 
 :func:`~repro.engine.sweep.run_sweep` and the lifetime-query service
 (:mod:`repro.service`) take the same execution knobs -- worker count,
-cache object, cache directory, retry policy, failure mode, executor
-backend, progress callback.  :class:`RunOptions` bundles them into one
-frozen config object that both entry points share: build it once, pass it
-everywhere::
+cache object, cache directory, execution policy, progress callback.
+:class:`RunOptions` bundles them into one frozen config object that both
+entry points share: build it once, pass it everywhere::
 
     run_sweep(spec, options=RunOptions(max_workers=4, cache_dir="cache"))
 
 None of these knobs can change a solved curve, so none of them feeds the
-scenario fingerprints (the same guarantee the
-:data:`repro.checking.fingerprints.EXECUTION_POLICY_EXEMPT` audit makes for
-the :class:`~repro.engine.executor.ExecutionPolicy` carried inside).
+scenario fingerprints.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-from typing import TYPE_CHECKING, Any
-
-from repro.engine.executor import FAILURE_MODES
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from collections.abc import Callable
@@ -50,14 +45,6 @@ class RunOptions:
     execution:
         :class:`~repro.engine.executor.ExecutionPolicy` -- retries,
         per-chunk timeouts, backoff, failure mode.
-    failure_mode:
-        Shorthand override of ``execution.failure_mode`` (``"strict"`` or
-        ``"degrade"``).
-    executor:
-        Execution backend: a registered name (``"serial"`` /
-        ``"process"`` / anything added via
-        :func:`repro.engine.executor.register_executor`), an executor
-        instance, or ``None`` to choose by parallelism.
     progress:
         Callback receiving :class:`~repro.engine.executor.SweepProgress`
         events while a sweep runs.
@@ -67,17 +54,11 @@ class RunOptions:
     cache: "SweepCache | None" = None
     cache_dir: str | os.PathLike[str] | None = None
     execution: "ExecutionPolicy | None" = None
-    failure_mode: str | None = None
-    executor: "str | Any | None" = None
     progress: "Callable[[SweepProgress], None] | None" = None
 
     def __post_init__(self) -> None:
         if self.max_workers is not None and int(self.max_workers) < 1:
             raise ValueError("max_workers must be at least 1")
-        if self.failure_mode is not None and self.failure_mode not in FAILURE_MODES:
-            raise ValueError(
-                f"failure_mode {self.failure_mode!r} is not one of {FAILURE_MODES}"
-            )
 
     # ------------------------------------------------------------------
     def resolve_cache(self) -> "SweepCache | None":

@@ -40,8 +40,8 @@ import os
 import pickle
 import tempfile
 import threading
-from collections.abc import Iterable, Sequence
-from contextlib import ExitStack
+from collections.abc import Callable, Iterable, Sequence
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
@@ -53,15 +53,16 @@ from repro.battery.parameters import KiBaMParameters
 from repro.engine.batch import BatchResult, ScenarioBatch, chain_merge_key
 from repro.engine.diagnostics import validate_diagnostics
 from repro.engine.executor import (
-    FAILURE_MODES,
+    ChunkOutcome,
     ChunkTask,
     CorruptResultError,
     ExecutionPolicy,
     ExecutionStats,
+    ProcessChunkExecutor,
     ScenarioFailure,
+    SerialChunkExecutor,
     SweepProgress,
     execute_chunks,
-    get_executor_factory,
 )
 from repro.engine.faults import FaultPlan, faults_spec
 from repro.engine.options import RunOptions
@@ -130,12 +131,11 @@ def scenario_fingerprint(problem: LifetimeProblem, method: str) -> str:
     the mode must not invalidate the deterministic cache.  The
     multi-battery product-chain ``backend`` (assembled / matrix-free /
     lumped) is excluded for the same reason -- every backend computes the
-    same lifetime law.  The execution-policy knobs of
-    :class:`~repro.engine.executor.ExecutionPolicy` (retries, timeouts,
-    failure mode) are likewise excluded: *how hard* the driver tried
-    cannot change the curve, and a retried scenario must hit the cache
-    entry its first attempt would have written (the RPR003 registry audit
-    asserts this exclusion).  The flip side:
+    same lifetime law.  The execution knobs (worker count, retries,
+    timeouts, failure mode, trace mode) never reach a problem, so *how* a
+    scenario was solved cannot change its key: a retried or traced
+    scenario hits the cache entry its first, untraced attempt wrote.  The
+    flip side:
     a sweep meant to *cross-check* the two modes (or two backends) against
     each other must run with ``cache=None`` (or distinct caches), otherwise
     the second run is served the first run's cached results verbatim.
@@ -436,18 +436,10 @@ class SweepSpec:
         Uniformisation strategy shared by every scenario
         (``"incremental"`` or ``"single-pass"``); excluded from the cache
         fingerprints, which stay stable across modes.
-    execution:
-        Optional :class:`~repro.engine.executor.ExecutionPolicy` (retries,
-        per-chunk timeout, backoff, failure mode) applied when the spec is
-        run; like ``transient_mode``, excluded from the cache fingerprints
-        -- how a result was obtained cannot change it.
-    trace:
-        Optional declarative trace mode (``"off"``, ``"summary"`` or
-        ``"full"``) scoped to this spec's run via
-        :func:`repro.obs.override_trace`; ``None`` defers to the
-        process-wide ``REPRO_TRACE`` knob.  Like ``execution``, excluded
-        from the cache fingerprints -- observing a sweep cannot change
-        its results.
+
+    How the spec is run -- workers, cache, retries, failure mode -- is
+    :class:`~repro.engine.options.RunOptions`; tracing is ``REPRO_TRACE``
+    or :func:`repro.obs.override_trace`.
     """
 
     workloads: Sequence[WorkloadModel | str]
@@ -462,8 +454,6 @@ class SweepSpec:
     horizon: float | None = None
     seed: int = DEFAULT_SEED
     transient_mode: str = "incremental"
-    execution: ExecutionPolicy | None = None
-    trace: str | None = None
 
     def __len__(self) -> int:
         return (
@@ -839,6 +829,212 @@ def default_worker_count() -> int:
         return os.cpu_count() or 1
 
 
+@dataclass
+class _SweepPlan:
+    """What :func:`run_sweep` decided before solving anything.
+
+    ``results`` holds one slot per scenario: the plan fills in the cache
+    hits, the execute step fills the rest from the ``tasks``.
+    """
+
+    problems: list[LifetimeProblem]
+    methods: list[str]
+    fingerprints: list[str | None]
+    results: list[LifetimeResult | None]
+    n_pending: int
+    resumed_hits: int
+    tasks: list[ChunkTask]
+    executor: str
+    n_workers: int
+
+    @property
+    def cache_hits(self) -> int:
+        """Scenarios answered from the cache."""
+        return len(self.problems) - self.n_pending
+
+
+def _plan_sweep(
+    scenarios: SweepSpec | ScenarioBatch | Iterable[LifetimeProblem],
+    method: str,
+    cache: SweepCache | None,
+    max_workers: int | None,
+    chunk_timeout: float | None,
+) -> _SweepPlan:
+    """Expand the scenarios, resolve ``auto``, scan the cache and chunk the rest.
+
+    Only the process executor enforces deadlines, so a parallel sweep runs
+    there whenever it has several chunks *or* a ``chunk_timeout``.
+    """
+    if isinstance(scenarios, SweepSpec):
+        problems, methods = scenarios.scenarios()
+    else:
+        problems = scenarios.problems if isinstance(scenarios, ScenarioBatch) else list(scenarios)
+        methods = [method] * len(problems)
+    if not problems:
+        raise ValueError("a sweep needs at least one scenario")
+
+    # Resolve "auto" up front so cache keys and chunk groups see concrete
+    # solver names (choose_method is deterministic in the problem).
+    concrete = [
+        choose_method(problem) if name == "auto" else name
+        for problem, name in zip(problems, methods)
+    ]
+
+    results: list[LifetimeResult | None] = [None] * len(problems)
+    fingerprints: list[str | None] = [None] * len(problems)
+    pending: list[tuple[int, LifetimeProblem, str]] = []
+    disk_hits_before = cache.disk_hits if cache is not None else 0
+    with obs.span("cache_scan", n_scenarios=len(problems)):
+        for index, (problem, name) in enumerate(zip(problems, concrete)):
+            if cache is not None:
+                fingerprint = scenario_fingerprint(problem, name)
+                fingerprints[index] = fingerprint
+                hit = cache.get(fingerprint)
+                if hit is not None:
+                    results[index] = _with_diagnostics(
+                        _relabelled(hit, problem), {"cache_hit": True}
+                    )
+                    continue
+            pending.append((index, problem, name))
+    resumed_hits = (cache.disk_hits - disk_hits_before) if cache is not None else 0
+    if cache is not None:
+        obs.count("sweep_cache_hits", len(problems) - len(pending))
+        obs.count("sweep_cache_misses", len(pending))
+
+    workers = max(1, int(default_worker_count() if max_workers is None else max_workers))
+    with obs.span("partition", n_pending=len(pending)):
+        chunks = _partition(pending, workers) if pending else []
+    use_process = workers > 1 and bool(chunks) and (len(chunks) > 1 or chunk_timeout is not None)
+
+    checkpoint_dir = cache.directory if cache is not None else None
+    active_faults = faults_spec()
+    active_trace = obs.trace_mode()
+    tasks: list[ChunkTask] = []
+    for task_id, chunk in enumerate(chunks):
+        chunk_fingerprints: dict[int, str] = {}
+        if checkpoint_dir is not None:
+            for chunk_indices, _, _ in chunk:
+                for index in chunk_indices:
+                    chunk_fingerprint = fingerprints[index]
+                    if chunk_fingerprint is not None:
+                        chunk_fingerprints[index] = chunk_fingerprint
+        tasks.append(
+            ChunkTask(
+                task_id=task_id,
+                groups=tuple(
+                    (tuple(chunk_indices), chunk_method, tuple(chunk_problems))
+                    for chunk_indices, chunk_method, chunk_problems in chunk
+                ),
+                checkpoint_dir=checkpoint_dir,
+                fingerprints=chunk_fingerprints,
+                faults=active_faults,
+                trace="" if active_trace == "off" else active_trace,
+            )
+        )
+    return _SweepPlan(
+        problems=problems,
+        methods=concrete,
+        fingerprints=fingerprints,
+        results=results,
+        n_pending=len(pending),
+        resumed_hits=resumed_hits,
+        tasks=tasks,
+        executor="process" if use_process else "serial",
+        n_workers=len(chunks) if use_process else 1,
+    )
+
+
+def _validate_payload(task: ChunkTask, payload: Any) -> None:
+    """Reject a worker payload whose groups or results are malformed."""
+    by_index = {
+        index: problem
+        for group_indices, _, group_problems in task.groups
+        for index, problem in zip(group_indices, group_problems)
+    }
+    for group_indices, group_results, _ in getattr(payload, "groups", payload):
+        if len(group_indices) != len(group_results):
+            raise CorruptResultError("worker payload has mismatched index/result counts")
+        for index, result in zip(group_indices, group_results):
+            _validate_result_envelope(result, by_index[index])
+
+
+def _store_solved(payload: Any, plan: _SweepPlan, cache: SweepCache | None) -> int:
+    """Fill the plan's slots from a solved chunk and store its results.
+
+    Returns how many scenarios the worker already checkpointed; those are
+    stored in memory only, so each result is persisted exactly once.
+    """
+    checkpointed = 0
+    for group_indices, group_results, on_disk in getattr(payload, "groups", payload):
+        for index, result in zip(group_indices, group_results):
+            stamped = _with_diagnostics(result, {"cache_hit": False})
+            plan.results[index] = stamped
+            fingerprint = plan.fingerprints[index]
+            if cache is not None and fingerprint is not None:
+                cache.put(fingerprint, stamped, memory_only=on_disk)
+        if on_disk:
+            checkpointed += len(group_indices)
+    return checkpointed
+
+
+def _strict_error(outcome: ChunkOutcome) -> SweepScenarioError:
+    """The error a strict sweep raises for a chunk that exhausted its retries."""
+    error = outcome.error
+    labels = error.labels if isinstance(error, SweepScenarioError) and error.labels else outcome.task.labels()
+    named = ", ".join(repr(label) for label in labels)
+    return SweepScenarioError(
+        f"sweep scenario(s) {named} failed after {outcome.task.attempt + 1} "
+        f"attempt(s): {type(error).__name__}: {error}",
+        labels,
+    )
+
+
+def _degrade(outcome: ChunkOutcome, plan: _SweepPlan) -> list[ScenarioFailure]:
+    """Fill an exhausted chunk's slots with failure placeholders."""
+    failures: list[ScenarioFailure] = []
+    for group_indices, group_method, group_problems in outcome.task.groups:
+        for index, problem in zip(group_indices, group_problems):
+            failure = ScenarioFailure(
+                index=index,
+                label=problem.label or f"scenario #{index}",
+                method=group_method,
+                error_type=type(outcome.error).__name__,
+                message=str(outcome.error),
+                attempts=outcome.task.attempt + 1,
+                timed_out=outcome.timed_out,
+            )
+            plan.results[index] = _failed_result(problem, failure)
+            failures.append(failure)
+            obs.count("sweep_degraded_scenarios")
+    return failures
+
+
+def _report_progress(
+    progress: Callable[[SweepProgress], None] | None,
+    plan: _SweepPlan,
+    started: float,
+    done: int,
+    failed: int,
+    retries: int,
+) -> None:
+    """Hand one :class:`SweepProgress` event to *progress*, if given."""
+    if progress is None:
+        return
+    elapsed = obs.now() - started
+    solved_so_far = done - plan.cache_hits
+    remaining = len(plan.problems) - done
+    eta: float | None = None
+    if remaining == 0:
+        eta = 0.0
+    elif solved_so_far > 0:
+        eta = elapsed / solved_so_far * remaining
+    progress(
+        SweepProgress(
+            total=len(plan.problems), done=done, failed=failed, retries=retries, elapsed_seconds=elapsed, eta_seconds=eta
+        )
+    )
+
+
 def run_sweep(
     scenarios: SweepSpec | ScenarioBatch | Iterable[LifetimeProblem],
     method: str = "auto",
@@ -858,11 +1054,7 @@ def run_sweep(
         :class:`SweepSpec`; ``"auto"`` resolves per scenario.
     options:
         :class:`~repro.engine.options.RunOptions` bundling every execution
-        knob -- worker count, cache, execution policy, failure mode,
-        executor backend, progress callback.
-
-        Highlights (see :class:`~repro.engine.options.RunOptions` for the
-        full reference):
+        knob:
 
         * ``max_workers`` -- worker-process count; ``None`` uses the CPUs
           available to this process and ``1`` solves everything in-process
@@ -879,19 +1071,12 @@ def run_sweep(
           spelling, used only when ``cache`` is ``None``.
         * ``execution`` -- :class:`~repro.engine.executor.ExecutionPolicy`
           controlling retries, per-chunk timeouts, backoff and the failure
-          mode.  Default: the spec's ``execution`` field, else the policy
-          defaults (two retries, no timeout, strict).  None of these knobs
-          affects cache fingerprints.  ``failure_mode`` is a shorthand
-          override: ``"strict"`` raises :class:`SweepScenarioError` naming
-          the failing scenarios once their retries are exhausted;
-          ``"degrade"`` returns a partial :class:`SweepResult` whose
-          failed slots carry structured
+          mode (default: two retries, no timeout, strict).  None of these
+          knobs affects cache fingerprints.  ``failure_mode="strict"``
+          raises :class:`SweepScenarioError` naming the failing scenarios
+          once their retries are exhausted; ``"degrade"`` returns a
+          partial :class:`SweepResult` whose failed slots carry structured
           :class:`~repro.engine.executor.ScenarioFailure` records.
-        * ``executor`` -- execution backend: a registered name
-          (``"serial"``, ``"process"``, or anything added via
-          :func:`repro.engine.executor.register_executor`), an executor
-          instance, or ``None`` to choose ``"process"`` for parallel runs
-          and ``"serial"`` otherwise.
         * ``progress`` -- optional callback receiving
           :class:`~repro.engine.executor.SweepProgress` events (scenario
           counts, retries, elapsed and ETA seconds) after the cache scan
@@ -906,247 +1091,53 @@ def run_sweep(
         ``wall_seconds``, ...).
     """
     opts = options or RunOptions()
-    max_workers = opts.max_workers
-    execution = opts.execution
-    failure_mode = opts.failure_mode
-    executor = opts.executor
-    progress = opts.progress
+    policy = opts.execution or ExecutionPolicy()
     cache = opts.resolve_cache()
-
-    with ExitStack() as scope:
-        # A spec-carried trace mode wins for the duration of this run
-        # (exactly like the spec-carried execution policy wins below).
-        if isinstance(scenarios, SweepSpec) and scenarios.trace is not None:
-            scope.enter_context(obs.override_trace(scenarios.trace))
-        started = obs.now()
-        scope.enter_context(obs.span("sweep"))
-
-        if isinstance(scenarios, SweepSpec):
-            problems, methods = scenarios.scenarios()
-            spec_policy = scenarios.execution
-        else:
-            if isinstance(scenarios, ScenarioBatch):
-                problems = scenarios.problems
-            else:
-                problems = list(scenarios)
-            methods = [method] * len(problems)
-            spec_policy = None
-        if not problems:
-            raise ValueError("a sweep needs at least one scenario")
-
-        policy = execution if execution is not None else (spec_policy or ExecutionPolicy())
-        if failure_mode is not None:
-            if failure_mode not in FAILURE_MODES:
-                raise ValueError(f"failure_mode {failure_mode!r} is not one of {FAILURE_MODES}")
-            policy = replace(policy, failure_mode=failure_mode)
-
-        # Resolve "auto" up front so cache keys and chunk groups see concrete
-        # solver names (choose_method is deterministic in the problem).
-        concrete = [
-            choose_method(problem) if name == "auto" else name
-            for problem, name in zip(problems, methods)
-        ]
-
-        results: list[LifetimeResult | None] = [None] * len(problems)
-        fingerprints: list[str | None] = [None] * len(problems)
-        pending: list[tuple[int, LifetimeProblem, str]] = []
-        cache_hits = 0
-        disk_hits_before = cache.disk_hits if cache is not None else 0
-        with obs.span("cache_scan", n_scenarios=len(problems)):
-            for index, (problem, name) in enumerate(zip(problems, concrete)):
-                if cache is not None:
-                    fingerprint = scenario_fingerprint(problem, name)
-                    fingerprints[index] = fingerprint
-                    hit = cache.get(fingerprint)
-                    if hit is not None:
-                        results[index] = _with_diagnostics(
-                            _relabelled(hit, problem), {"cache_hit": True}
-                        )
-                        cache_hits += 1
-                        continue
-                pending.append((index, problem, name))
-        resumed_hits = (cache.disk_hits - disk_hits_before) if cache is not None else 0
-        if cache is not None:
-            obs.count("sweep_cache_hits", cache_hits)
-            obs.count("sweep_cache_misses", len(pending))
-
-        if max_workers is None:
-            max_workers = default_worker_count()
-        max_workers = max(1, int(max_workers))
-
-        with obs.span("partition", n_pending=len(pending)):
-            chunks = _partition(pending, max_workers) if pending else []
-        parallel = max_workers > 1 and len(chunks) > 1
-        n_workers = len(chunks) if parallel else 1
-
-        checkpoint_dir = cache.directory if cache is not None else None
-        active_faults = faults_spec()
-        active_trace = obs.trace_mode()
-        tasks: list[ChunkTask] = []
-        for task_id, chunk in enumerate(chunks):
-            chunk_fingerprints: dict[int, str] = {}
-            if checkpoint_dir is not None:
-                for chunk_indices, _, _ in chunk:
-                    for index in chunk_indices:
-                        chunk_fingerprint = fingerprints[index]
-                        if chunk_fingerprint is not None:
-                            chunk_fingerprints[index] = chunk_fingerprint
-            tasks.append(
-                ChunkTask(
-                    task_id=task_id,
-                    groups=tuple(
-                        (tuple(chunk_indices), chunk_method, tuple(chunk_problems))
-                        for chunk_indices, chunk_method, chunk_problems in chunk
-                    ),
-                    checkpoint_dir=checkpoint_dir,
-                    fingerprints=chunk_fingerprints,
-                    faults=active_faults,
-                    trace="" if active_trace == "off" else active_trace,
-                )
-            )
-
-        total = len(problems)
-        done = cache_hits
-        failed_scenarios = 0
-        retries_seen = 0
-        checkpointed_scenarios = 0
-        failures: list[ScenarioFailure] = []
-
-        def emit_progress() -> None:
-            if progress is None:
-                return
-            elapsed = obs.now() - started
-            solved_so_far = done - cache_hits
-            remaining = total - done
-            eta: float | None = None
-            if remaining == 0:
-                eta = 0.0
-            elif solved_so_far > 0:
-                eta = elapsed / solved_so_far * remaining
-            progress(
-                SweepProgress(
-                    total=total,
-                    done=done,
-                    failed=failed_scenarios,
-                    retries=retries_seen,
-                    elapsed_seconds=elapsed,
-                    eta_seconds=eta,
-                )
-            )
-
-        def handle_success(task: ChunkTask, payload: Any) -> None:
-            nonlocal done, checkpointed_scenarios
-            for group_indices, group_results, checkpointed in getattr(
-                payload, "groups", payload
-            ):
-                for index, result in zip(group_indices, group_results):
-                    stamped = _with_diagnostics(result, {"cache_hit": False})
-                    results[index] = stamped
-                    result_fingerprint = fingerprints[index]
-                    if cache is not None and result_fingerprint is not None:
-                        cache.put(result_fingerprint, stamped, memory_only=checkpointed)
-                if checkpointed:
-                    checkpointed_scenarios += len(group_indices)
-                done += len(group_indices)
-            emit_progress()
-
-        def handle_failure(task: ChunkTask, error: BaseException, timed_out: bool) -> None:
-            nonlocal done, failed_scenarios
-            if policy.failure_mode == "strict":
-                if isinstance(error, SweepScenarioError) and error.labels:
-                    labels = error.labels
-                else:
-                    labels = task.labels()
-                named = ", ".join(repr(label) for label in labels)
-                raise SweepScenarioError(
-                    f"sweep scenario(s) {named} failed after {task.attempt + 1} "
-                    f"attempt(s): {type(error).__name__}: {error}",
-                    labels,
-                ) from error
-            for group_indices, group_method, group_problems in task.groups:
-                for index, problem in zip(group_indices, group_problems):
-                    failure = ScenarioFailure(
-                        index=index,
-                        label=problem.label or f"scenario #{index}",
-                        method=group_method,
-                        error_type=type(error).__name__,
-                        message=str(error),
-                        attempts=task.attempt + 1,
-                        timed_out=timed_out,
-                    )
-                    failures.append(failure)
-                    results[index] = _failed_result(problem, failure)
-                    failed_scenarios += 1
-                    obs.count("sweep_degraded_scenarios")
-                    done += 1
-            emit_progress()
-
-        def handle_retry(task: ChunkTask) -> None:
-            nonlocal retries_seen
-            retries_seen += 1
-
-        def validate_payload(task: ChunkTask, payload: Any) -> None:
-            by_index = {
-                index: problem
-                for group_indices, _, group_problems in task.groups
-                for index, problem in zip(group_indices, group_problems)
-            }
-            for group_indices, group_results, _ in getattr(payload, "groups", payload):
-                if len(group_indices) != len(group_results):
-                    raise CorruptResultError(
-                        "worker payload has mismatched index/result counts"
-                    )
-                for index, result in zip(group_indices, group_results):
-                    _validate_result_envelope(result, by_index[index])
-
-        emit_progress()
+    started = obs.now()
+    with obs.span("sweep"):
+        plan = _plan_sweep(scenarios, method, cache, opts.max_workers, policy.chunk_timeout)
 
         stats = ExecutionStats()
-        executor_name = "serial"
-        if tasks:
-            if executor is None or isinstance(executor, str):
-                executor_name = (
-                    executor
-                    if isinstance(executor, str)
-                    else ("process" if parallel else "serial")
-                )
-                executor_instance = get_executor_factory(executor_name)(
-                    _solve_chunk_task,
-                    max_workers=n_workers,
-                    timeout=policy.chunk_timeout,
-                )
+        done = plan.cache_hits
+        checkpointed = 0
+        failures: list[ScenarioFailure] = []
+        _report_progress(opts.progress, plan, started, done, 0, 0)
+        if plan.tasks:
+            executor: SerialChunkExecutor | ProcessChunkExecutor
+            if plan.executor == "process":
+                executor = ProcessChunkExecutor(_solve_chunk_task, plan.n_workers, policy.chunk_timeout)
             else:
-                executor_instance = executor
-                executor_name = str(getattr(executor, "name", type(executor).__name__))
-            stats = execute_chunks(
-                tasks,
-                executor_instance,
-                policy,
-                on_success=handle_success,
-                on_failure=handle_failure,
-                validate=validate_payload,
-                on_retry=handle_retry,
-            )
+                executor = SerialChunkExecutor(_solve_chunk_task)
+            with closing(execute_chunks(plan.tasks, executor, policy, stats, validate=_validate_payload)) as outcomes:
+                for outcome in outcomes:
+                    if outcome.error is None:
+                        checkpointed += _store_solved(outcome.payload, plan, cache)
+                    elif policy.failure_mode == "strict":
+                        raise _strict_error(outcome) from outcome.error
+                    else:
+                        failures += _degrade(outcome, plan)
+                    done += outcome.task.n_scenarios
+                    _report_progress(opts.progress, plan, started, done, len(failures), stats.n_retries)
 
-        assert all(result is not None for result in results)
-        diagnostics = {
-            "n_scenarios": len(problems),
-            "n_solved": len(pending) - failed_scenarios,
-            "cache_hits": cache_hits,
-            "resumed_hits": resumed_hits,
-            "n_workers": n_workers,
-            "n_chunks": len(chunks),
-            "parallel": parallel,
-            "executor": executor_name,
+        assert all(result is not None for result in plan.results)
+        diagnostics: dict[str, Any] = {
+            "n_scenarios": len(plan.problems),
+            "n_solved": plan.n_pending - len(failures),
+            "cache_hits": plan.cache_hits,
+            "resumed_hits": plan.resumed_hits,
+            "n_workers": plan.n_workers,
+            "n_chunks": len(plan.tasks),
+            "parallel": plan.executor == "process",
+            "executor": plan.executor,
             "failure_mode": policy.failure_mode,
             "n_retries": stats.n_retries,
             "n_timeouts": stats.n_timeouts,
             "n_pool_rebuilds": stats.pool_rebuilds,
-            "n_failed": failed_scenarios,
-            "checkpointed": checkpointed_scenarios,
-            "methods": sorted(set(concrete)),
+            "n_failed": len(failures),
+            "checkpointed": checkpointed,
+            "methods": sorted(set(plan.methods)),
             "wall_seconds": obs.now() - started,
-            "trace_mode": active_trace,
+            "trace_mode": obs.trace_mode(),
         }
         if failures:
             diagnostics["failures"] = [failure.as_record() for failure in failures]
@@ -1158,4 +1149,4 @@ def run_sweep(
         registry = obs.metrics_registry()
         if registry is not None:
             diagnostics["metrics"] = registry.snapshot()
-        return SweepResult(results=tuple(results), diagnostics=diagnostics)
+        return SweepResult(results=tuple(plan.results), diagnostics=diagnostics)

@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.analysis.distribution import LifetimeDistribution
 from repro.battery.parameters import KiBaMParameters
-from repro.obs import events
 from repro.engine import (
     LifetimeProblem,
     RunOptions,
@@ -109,22 +108,15 @@ def sweep_options(config: "ExperimentConfig | None") -> RunOptions:
     """The :class:`RunOptions` an :class:`ExperimentConfig` implies.
 
     Threads the worker count, the shared durable cache (``cache_dir`` /
-    ``resume``) and the progress printer into every driver sweep with one
-    ``run_sweep(..., options=sweep_options(config))`` call.  Progress
-    events are delivered through the :mod:`repro.obs.events` bus
-    (``--progress`` subscribes the stderr printer to it), so additional
-    consumers can observe the same sweeps without touching the drivers.
+    ``resume``) and the ``--progress`` stderr printer into every driver
+    sweep with one ``run_sweep(..., options=sweep_options(config))`` call.
     """
     if config is None:
         return RunOptions(max_workers=1)
-    progress = None
-    if config.progress:
-        events.subscribe(print_sweep_progress)
-        progress = events.emit
     return RunOptions(
         max_workers=config.workers,
         cache=shared_cache(config.cache_dir, resume=config.resume),
-        progress=progress,
+        progress=print_sweep_progress if config.progress else None,
     )
 
 

@@ -47,9 +47,7 @@ class ExperimentConfig:
         served, because scenario fingerprints cover inputs, not solver
         code: resuming across a code change is an explicit decision.
     progress:
-        Print sweep progress/ETA lines to stderr while the drivers solve
-        (delivered through the :mod:`repro.obs.events` bus, so other
-        consumers can subscribe to the same events).
+        Print sweep progress/ETA lines to stderr while the drivers solve.
     trace_file:
         Optional path for a JSONL span-trace export: the runner installs
         a full-mode :class:`repro.obs.Tracer` for the whole invocation

@@ -13,8 +13,6 @@ library is built on:
 * discrete-time Markov chains (:mod:`repro.markov.dtmc`),
 * phase-type distributions such as the Erlang-K distributions used by the
   on/off workload model (:mod:`repro.markov.phase_type`),
-* absorbing-state analysis and first-passage times
-  (:mod:`repro.markov.absorbing`),
 * structural chain validation -- generator laws, absorbing reachability,
   Kronecker-operator consistency, exact lumping quotients -- behind the
   ``REPRO_CHECKS`` toggle (:mod:`repro.markov.validate`).
@@ -24,12 +22,6 @@ battery-lifetime problem to the transient solution of a large, sparse CTMC;
 all of that work happens here.
 """
 
-from repro.markov.absorbing import (
-    absorption_probabilities,
-    absorption_time_cdf,
-    expected_absorption_time,
-    first_passage_time_cdf,
-)
 from repro.markov.ctmc import CTMC
 from repro.markov.dtmc import DTMC
 from repro.markov.generator import (
@@ -90,8 +82,6 @@ __all__ = [
     "UniformizationResult",
     "UniformizedOperator",
     "ValidationError",
-    "absorption_probabilities",
-    "absorption_time_cdf",
     "as_csr",
     "assembled_csr_bytes",
     "build_generator",
@@ -101,9 +91,7 @@ __all__ = [
     "embedded_jump_matrix",
     "erlang",
     "exit_rates",
-    "expected_absorption_time",
     "exponential",
-    "first_passage_time_cdf",
     "fox_glynn",
     "hyperexponential",
     "is_generator",

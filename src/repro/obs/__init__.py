@@ -1,4 +1,4 @@
-"""``repro.obs``: spans, metrics and events for the solver stack.
+"""``repro.obs``: spans and metrics for the solver stack.
 
 The shared instrumentation substrate of the engine:
 
@@ -11,9 +11,7 @@ The shared instrumentation substrate of the engine:
   schema-registered ``"metrics"`` key;
 * :mod:`repro.obs.clock` -- the injectable monotonic clock every obs
   timestamp (and the sweep progress/ETA computation) reads, so timing
-  behaviour is deterministic under test;
-* :mod:`repro.obs.events` -- a minimal fan-out bus that decouples sweep
-  progress producers from their consumers.
+  behaviour is deterministic under test.
 
 Everything here is dependency-light (stdlib only) and imported by the
 hot paths, so the off-mode cost of an instrumentation point is one
@@ -23,7 +21,6 @@ under 1% of a 52k-state solve by ``benchmarks/bench_observability.py``.
 
 from __future__ import annotations
 
-from repro.obs import events
 from repro.obs.clock import now, override_clock, set_clock
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -71,7 +68,6 @@ __all__ = [
     "count",
     "current_tracer",
     "detail_span",
-    "events",
     "ingest_spans",
     "install_tracer",
     "metrics_registry",

@@ -1,10 +1,5 @@
 """Markov reward models and accumulated-reward (performability) algorithms.
 
-* :mod:`repro.reward.mrm` -- homogeneous Markov reward models: a CTMC plus a
-  reward vector, with expected accumulated reward and the link to the
-  accumulated-reward distribution algorithms.
-* :mod:`repro.reward.inhomogeneous` -- reward-inhomogeneous MRMs with one or
-  two reward variables (the class the KiBaMRM of Section 4.2 belongs to).
 * :mod:`repro.reward.occupation` -- the exact uniformisation-based algorithm
   for the accumulated-reward distribution when the rewards take (at most)
   two distinct values, following De Souza e Silva & Gail / Sericola; this is
@@ -15,18 +10,13 @@
 """
 
 from repro.reward.discretisation import discretised_reward_distribution
-from repro.reward.inhomogeneous import InhomogeneousMRM, from_kibamrm
-from repro.reward.mrm import MarkovRewardModel
 from repro.reward.occupation import (
     occupation_time_distribution,
     two_level_reward_distribution,
 )
 
 __all__ = [
-    "InhomogeneousMRM",
-    "MarkovRewardModel",
     "discretised_reward_distribution",
-    "from_kibamrm",
     "occupation_time_distribution",
     "two_level_reward_distribution",
 ]

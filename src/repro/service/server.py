@@ -107,30 +107,26 @@ class LifetimeService:
 
     Parameters
     ----------
-    store:
-        The shared result store.  Defaults to a
-        :class:`~repro.engine.sweep.SweepCache` bounded to
-        *max_entries*, in memory or on ``options.cache_dir``; pass a
-        disk-backed cache to share results with batch sweeps and across
-        restarts.
     max_entries:
-        LRU bound of the in-memory tier of the store the service builds
-        (ignored when a store is passed as *store* or ``options.cache``).
-        Entries evicted from a disk-backed store reload from disk.
+        LRU bound of the in-memory tier of the result store the service
+        builds; ``None`` leaves it unbounded.  Ignored when
+        ``options.cache`` is given.  Entries evicted from a disk-backed
+        store reload from disk.
     options:
         :class:`~repro.engine.options.RunOptions` shared with
-        :func:`~repro.engine.sweep.run_sweep`; the service honours its
-        ``cache`` / ``cache_dir`` as the result store when *store* is
-        ``None``.
-    workspace:
-        The warm :class:`~repro.engine.workspace.SolveWorkspace` kept
-        across requests.  The default disables steady-state horizon caps
-        (``horizon_caps=False``) so stored results never depend on which
-        queries happened to arrive earlier -- the same coherence rule the
-        sweep workers follow.
+        :func:`~repro.engine.sweep.run_sweep`.  The result store is
+        ``options.cache`` when given (pass a disk-backed cache to share
+        results with batch sweeps and across restarts), else a
+        :class:`~repro.engine.sweep.SweepCache` bounded to *max_entries*,
+        in memory or on ``options.cache_dir``.
 
     Notes
     -----
+    The warm :class:`~repro.engine.workspace.SolveWorkspace` kept across
+    requests disables steady-state horizon caps (``horizon_caps=False``)
+    so stored results never depend on which queries happened to arrive
+    earlier -- the same coherence rule the sweep workers follow.
+
     Solves are serialised on an internal lock: the warm workspace's
     propagators reuse scratch buffers and are not re-entrant.  Requests
     answered from the store or by coalescing never take that lock.
@@ -139,18 +135,13 @@ class LifetimeService:
     def __init__(
         self,
         *,
-        store: SweepCache | None = None,
         max_entries: int | None = DEFAULT_STORE_ENTRIES,
         options: RunOptions | None = None,
-        workspace: SolveWorkspace | None = None,
     ) -> None:
         self.options = options or RunOptions()
-        if store is None:
-            store = self.options.cache
-        if store is None:
-            store = SweepCache(self.options.cache_dir, max_entries=max_entries)
-        self.store = store
-        self.workspace = workspace if workspace is not None else SolveWorkspace(horizon_caps=False)
+        store = self.options.cache
+        self.store = store if store is not None else SweepCache(self.options.cache_dir, max_entries=max_entries)
+        self.workspace = SolveWorkspace(horizon_caps=False)
         self._lock = threading.Lock()
         self._solve_lock = threading.Lock()
         self._inflight: dict[str, _Inflight] = {}

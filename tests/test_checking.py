@@ -20,7 +20,6 @@ from repro.checking import (
     DiscretizedChain,
     GeneratorOperator,
     SchedulerPolicy,
-    SweepExecutor,
     UniformizationKernel,
     audit_fingerprint_registry,
     checks_mode,
@@ -98,20 +97,6 @@ def test_non_conforming_object_is_rejected() -> None:
     assert not isinstance(NotAKernel(), UniformizationKernel)
 
 
-def test_chunk_executors_satisfy_sweep_executor() -> None:
-    from repro.engine.executor import ProcessChunkExecutor, SerialChunkExecutor
-
-    def work(task):  # pragma: no cover - never invoked
-        raise AssertionError
-
-    assert isinstance(SerialChunkExecutor(work), SweepExecutor)
-    process = ProcessChunkExecutor(work, max_workers=1)
-    try:
-        assert isinstance(process, SweepExecutor)
-    finally:
-        process.shutdown()
-
-
 # ----------------------------------------------------------------------
 # fingerprint registry
 # ----------------------------------------------------------------------
@@ -129,28 +114,6 @@ def test_registered_fields_union() -> None:
 def test_registered_fields_unknown_class() -> None:
     with pytest.raises(Exception, match="no fingerprint registry entry"):
         registered_fields("NotAProblem")
-
-
-def test_execution_policy_fields_must_stay_exempt(monkeypatch) -> None:
-    """Regression: moving an execution knob into the fingerprint fails the audit."""
-    from repro.checking import fingerprints
-
-    entry = fingerprints.FINGERPRINT_FIELDS["SweepSpec"]
-    tampered = {
-        "relevant": entry["relevant"] + ("execution",),
-        "exempt": tuple(field for field in entry["exempt"] if field != "execution"),
-    }
-    monkeypatch.setitem(fingerprints.FINGERPRINT_FIELDS, "SweepSpec", tampered)
-    with pytest.raises(
-        fingerprints.FingerprintRegistryError, match="must stay fingerprint-exempt"
-    ):
-        audit_fingerprint_registry()
-
-
-def test_execution_policy_exemptions_are_declared() -> None:
-    from repro.checking import EXECUTION_POLICY_EXEMPT
-
-    assert EXECUTION_POLICY_EXEMPT == {"SweepSpec": ("execution",)}
 
 
 # ----------------------------------------------------------------------

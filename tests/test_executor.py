@@ -10,16 +10,20 @@ checked without solving anything.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import signal
 import subprocess
 import sys
 import textwrap
+import time
+from contextlib import closing, nullcontext
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.battery.parameters import KiBaMParameters
 from repro.engine import (
     ExecutionPolicy,
@@ -28,19 +32,16 @@ from repro.engine import (
     SweepCache,
     SweepScenarioError,
     SweepSpec,
-    available_executors,
     override_faults,
     parse_faults,
-    register_executor,
     run_sweep,
-    scenario_fingerprint,
 )
 from repro.engine.diagnostics import validate_diagnostics
 from repro.engine.executor import (
     ChunkTask,
+    ExecutionStats,
     SerialChunkExecutor,
     execute_chunks,
-    get_executor_factory,
 )
 from repro.engine.faults import ENV_VAR, FaultDirective, FaultPlan, faults_spec
 from repro.engine.sweep import FAILED_METHOD
@@ -90,17 +91,17 @@ class TestExecutionPolicy:
         assert policy.chunk_timeout is None
 
     def test_backoff_is_capped_exponential(self) -> None:
-        policy = ExecutionPolicy(backoff_base=0.1, backoff_factor=2.0, backoff_max=0.3)
-        assert policy.backoff(0) == pytest.approx(0.1)
-        assert policy.backoff(1) == pytest.approx(0.2)
-        assert policy.backoff(5) == pytest.approx(0.3)
+        policy = ExecutionPolicy(backoff_base=1.0)
+        assert policy.backoff(0) == pytest.approx(1.0)
+        assert policy.backoff(1) == pytest.approx(2.0)
+        assert policy.backoff(2) == pytest.approx(4.0)
+        assert policy.backoff(5) == pytest.approx(5.0)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"max_retries": -1},
             {"chunk_timeout": 0.0},
-            {"backoff_factor": 0.5},
             {"backoff_base": -1.0},
             {"failure_mode": "explode"},
         ],
@@ -209,83 +210,58 @@ class TestExecuteChunks:
         return work
 
     def test_retry_splits_and_completes(self) -> None:
-        solved: dict[int, str] = {}
-
-        def on_success(task, payload) -> None:
-            for indices, values, _ in payload:
-                solved.update(zip(indices, values))
-
-        stats = execute_chunks(
-            [_stub_task(TestChunkTask.GROUPS)],
-            SerialChunkExecutor(self._flaky(fail_until=1)),
-            ExecutionPolicy(backoff_base=0.0),
-            on_success=on_success,
-            on_failure=lambda task, error, timed_out: pytest.fail(f"unexpected failure: {error}"),
+        stats = ExecutionStats()
+        outcomes = list(
+            execute_chunks(
+                [_stub_task(TestChunkTask.GROUPS)],
+                SerialChunkExecutor(self._flaky(fail_until=1)),
+                ExecutionPolicy(backoff_base=0.0),
+                stats,
+            )
         )
+        assert all(outcome.error is None for outcome in outcomes)
+        solved = {
+            index: value
+            for outcome in outcomes
+            for indices, values, _ in outcome.payload
+            for index, value in zip(indices, values)
+        }
         assert solved == {0: "ok-0", 1: "ok-1", 2: "ok-2"}
         assert stats.n_retries == 1
         assert stats.n_splits == 1
         assert stats.n_failed_tasks == 0
 
     def test_exhausted_failure_reaches_on_failure(self) -> None:
-        failed: list[tuple[int, ...]] = []
-        stats = execute_chunks(
-            [_stub_task(TestChunkTask.GROUPS)],
-            SerialChunkExecutor(self._flaky(fail_until=99)),
-            ExecutionPolicy(max_retries=1, backoff_base=0.0),
-            on_success=lambda task, payload: pytest.fail("nothing should succeed"),
-            on_failure=lambda task, error, timed_out: failed.append(task.indices),
-        )
-        # The first failure split the chunk; both pieces then exhausted.
-        assert sorted(failed) == [(0, 1), (2,)]
-        assert stats.n_failed_tasks == 2
-
-    def test_split_can_be_disabled(self) -> None:
-        failed: list[tuple[int, ...]] = []
-        execute_chunks(
-            [_stub_task(TestChunkTask.GROUPS)],
-            SerialChunkExecutor(self._flaky(fail_until=99)),
-            ExecutionPolicy(max_retries=1, backoff_base=0.0, split_on_retry=False),
-            on_success=lambda task, payload: None,
-            on_failure=lambda task, error, timed_out: failed.append(task.indices),
-        )
-        assert failed == [(0, 1, 2)]
-
-    def test_strict_abort_propagates(self) -> None:
-        def on_failure(task, error, timed_out) -> None:
-            raise SweepScenarioError("abort", task.labels())
-
-        with pytest.raises(SweepScenarioError, match="abort"):
+        stats = ExecutionStats()
+        outcomes = list(
             execute_chunks(
                 [_stub_task(TestChunkTask.GROUPS)],
                 SerialChunkExecutor(self._flaky(fail_until=99)),
-                ExecutionPolicy(max_retries=0, backoff_base=0.0),
-                on_success=lambda task, payload: None,
-                on_failure=on_failure,
+                ExecutionPolicy(max_retries=1, backoff_base=0.0),
+                stats,
             )
+        )
+        assert all(isinstance(outcome.error, RuntimeError) for outcome in outcomes)
+        # The first failure split the chunk; both pieces then exhausted.
+        assert sorted(outcome.task.indices for outcome in outcomes) == [(0, 1), (2,)]
+        assert stats.n_failed_tasks == 2
 
-
-# ----------------------------------------------------------------------
-# executor registry
-# ----------------------------------------------------------------------
-
-
-class TestExecutorRegistry:
-    def test_builtins_are_registered(self) -> None:
-        assert {"serial", "process"} <= set(available_executors())
-
-    def test_unknown_name_raises(self) -> None:
-        with pytest.raises(ValueError, match="unknown executor"):
-            get_executor_factory("carrier-pigeon")
-
-    def test_duplicate_registration_requires_replace(self) -> None:
-        with pytest.raises(ValueError, match="already registered"):
-            register_executor("serial", SerialChunkExecutor)
-        register_executor("serial", SerialChunkExecutor, replace=True)
-
-    def test_run_sweep_rejects_unknown_executor(self) -> None:
-        with pytest.raises(ValueError, match="unknown executor"):
-            run_sweep(SPEC, options=RunOptions(max_workers=1, executor="carrier-pigeon"))
+    def test_strict_abort_propagates(self, monkeypatch) -> None:
+        executor = SerialChunkExecutor(self._flaky(fail_until=99))
+        shut_down: list[bool] = []
+        monkeypatch.setattr(executor, "shutdown", lambda: shut_down.append(True))
+        outcomes = execute_chunks(
+            [_stub_task(TestChunkTask.GROUPS)],
+            executor,
+            ExecutionPolicy(max_retries=0, backoff_base=0.0),
+            ExecutionStats(),
+        )
+        with pytest.raises(SweepScenarioError, match="abort"):
+            with closing(outcomes):
+                for outcome in outcomes:
+                    raise SweepScenarioError("abort", outcome.task.labels())
+        # Closing the generator shut the executor down.
+        assert shut_down == [True]
 
 
 # ----------------------------------------------------------------------
@@ -368,7 +344,7 @@ class TestProcessExecutorRecovery:
     def test_hung_chunk_is_timed_out_and_retried(self, clean) -> None:
         policy = ExecutionPolicy(backoff_base=0.0, chunk_timeout=2.0)
         with override_faults("hang:seconds=60:max_attempt=1:match=C=60"):
-            result = run_sweep(SPEC, options=RunOptions(max_workers=2, execution=policy, executor="process"))
+            result = run_sweep(SPEC, options=RunOptions(max_workers=2, execution=policy))
         assert result.diagnostics["n_timeouts"] >= 1
         assert result.diagnostics["n_pool_rebuilds"] >= 1
         assert result.diagnostics["n_failed"] == 0
@@ -376,11 +352,36 @@ class TestProcessExecutorRecovery:
 
     def test_killed_worker_rebuilds_the_pool(self, clean) -> None:
         with override_faults("kill:max_attempt=1:match=C=80"):
-            result = run_sweep(SPEC, options=RunOptions(max_workers=2, execution=FAST, executor="process"))
+            result = run_sweep(SPEC, options=RunOptions(max_workers=2, execution=FAST))
         assert result.diagnostics["n_pool_rebuilds"] >= 1
         assert result.diagnostics["n_retries"] >= 1
         assert result.diagnostics["n_failed"] == 0
         assert_curves_match(result, clean)
+
+    def test_one_chunk_parallel_sweep_honours_the_timeout(self, clean) -> None:
+        # A single chunk still runs in a worker process when a deadline is
+        # set: the in-process executor could not reap the hung solve.
+        spec = SweepSpec(
+            workloads=SPEC.workloads, batteries=SPEC.batteries[:1], times=SPEC.times, methods=SPEC.methods
+        )
+        policy = ExecutionPolicy(backoff_base=0.0, chunk_timeout=2.0)
+        with override_faults("hang:seconds=6:max_attempt=1"):
+            result = run_sweep(spec, options=RunOptions(max_workers=2, execution=policy))
+        assert result.diagnostics["n_chunks"] == 1
+        assert result.diagnostics["executor"] == "process"
+        assert result.diagnostics["n_timeouts"] == 1
+        assert result.diagnostics["n_failed"] == 0
+        assert_curves_match(result, clean, [0])
+
+    def test_strict_failure_kills_the_chunk_still_in_flight(self) -> None:
+        policy = ExecutionPolicy(max_retries=0, backoff_base=0.0)
+        started = time.monotonic()
+        with override_faults("hang:seconds=60:match=C=100;crash:match=C=80"):
+            with pytest.raises(SweepScenarioError) as excinfo:
+                run_sweep(SPEC, options=RunOptions(max_workers=2, execution=policy))
+        assert excinfo.value.labels == ("simple | C=80, c=0.625, k=0.001",)
+        assert time.monotonic() - started < 30.0
+        assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------
@@ -464,24 +465,13 @@ class TestCheckpointResume:
 
 
 class TestFingerprintInvariance:
-    def test_execution_policy_does_not_change_fingerprints(self) -> None:
-        from dataclasses import replace
-
-        tweaked = replace(
-            SPEC,
-            execution=ExecutionPolicy(
-                max_retries=9, chunk_timeout=123.0, failure_mode="degrade"
-            ),
-        )
-        base_problems, base_methods = SPEC.scenarios()
-        tweaked_problems, tweaked_methods = tweaked.scenarios()
-        for base, tweak, method in zip(base_problems, tweaked_problems, base_methods):
-            assert scenario_fingerprint(base, method) == scenario_fingerprint(tweak, method)
-        assert base_methods == tweaked_methods
-
     def test_cache_written_under_one_policy_serves_another(self, tmp_path) -> None:
         cache = SweepCache(tmp_path)
         run_sweep(SPEC, options=RunOptions(max_workers=1, execution=FAST, cache=cache))
-        second = run_sweep(SPEC, options=RunOptions(max_workers=1, execution=ExecutionPolicy(max_retries=0, chunk_timeout=60.0), failure_mode="degrade", cache=cache))
-        assert second.diagnostics["cache_hits"] == 3
-        assert second.diagnostics["n_solved"] == 0
+        policy = ExecutionPolicy(max_retries=0, chunk_timeout=60.0, failure_mode="degrade")
+        # Neither the policy nor tracing the run may change a cache key.
+        for scope in (nullcontext(), obs.override_trace("full")):
+            with scope:
+                second = run_sweep(SPEC, options=RunOptions(max_workers=1, execution=policy, cache=cache))
+            assert second.diagnostics["cache_hits"] == 3
+            assert second.diagnostics["n_solved"] == 0

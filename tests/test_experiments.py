@@ -139,18 +139,15 @@ class TestDurableCachePlumbing:
     def test_sweep_options_thread_cache_and_progress(self, monkeypatch, tmp_path):
         from repro.engine import SweepCache
         from repro.experiments import common
-        from repro.obs import events
 
         monkeypatch.setattr(common, "_SHARED_CACHES", {})
         config = ExperimentConfig(workers=2, cache_dir=str(tmp_path), progress=True)
         options = common.sweep_options(config)
         assert options.max_workers == 2
         assert isinstance(options.cache, SweepCache)
-        # --progress routes through the obs event bus: the printer is a
-        # subscriber, and the sweep callback is the bus itself.
-        assert options.progress is events.emit
-        assert common.print_sweep_progress in events._handlers
-        events.unsubscribe(common.print_sweep_progress)
+        # --progress hands the stderr printer to the sweep as its callback.
+        assert options.progress is common.print_sweep_progress
+        assert common.sweep_options(ExperimentConfig()).progress is None
         # The same directory maps to the same cache instance, so hit and
         # resume counters aggregate across all drivers of one run.
         assert common.sweep_options(config).cache is options.cache

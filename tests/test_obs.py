@@ -2,8 +2,8 @@
 
 The tracer (span nesting, parent links, clock injection, the
 ``REPRO_TRACE`` knob, worker-span ingestion and JSONL export), the
-metrics registry, the events bus, the ``tools/repro_trace.py`` report
-functions, and the end-to-end sweep integration: a traced sweep's
+metrics registry, the ``tools/repro_trace.py`` report functions, and
+the end-to-end sweep integration: a traced sweep's
 diagnostics carry the new schema keys, and a crash-injected sweep's
 exported trace reconstructs the retry timeline with driver and worker
 spans in one correctly-parented tree.
@@ -19,7 +19,6 @@ import pytest
 
 from repro import obs
 from repro.battery.parameters import KiBaMParameters
-from repro.checking.fingerprints import audit_fingerprint_registry
 from repro.checking.protocols import TraceSink
 from repro.engine import (
     ExecutionPolicy,
@@ -260,66 +259,14 @@ class TestMetrics:
 
 
 # ----------------------------------------------------------------------
-# events bus
-# ----------------------------------------------------------------------
-
-
-class TestEvents:
-    @pytest.fixture(autouse=True)
-    def _isolated_bus(self, monkeypatch: pytest.MonkeyPatch) -> None:
-        # The bus is process-global; other suites (the runner's --progress
-        # wiring) may leave handlers behind that would see our test events.
-        monkeypatch.setattr(obs.events, "_handlers", [])
-
-    def test_emit_fans_out_in_registration_order(self) -> None:
-        seen: list[tuple[str, object]] = []
-        first = obs.events.subscribe(lambda event: seen.append(("first", event)))
-        second = obs.events.subscribe(lambda event: seen.append(("second", event)))
-        try:
-            obs.events.emit("tick")
-            assert seen == [("first", "tick"), ("second", "tick")]
-            obs.events.unsubscribe(first)
-            obs.events.emit("tock")
-            assert seen[-1] == ("second", "tock")
-        finally:
-            obs.events.unsubscribe(first)
-            obs.events.unsubscribe(second)
-
-    def test_emit_without_handlers_is_a_noop(self) -> None:
-        obs.events.emit("nobody-listens")
-
-
-# ----------------------------------------------------------------------
-# fingerprint exemption
-# ----------------------------------------------------------------------
-
-
-def test_trace_knob_is_fingerprint_exempt() -> None:
-    # TRACE_EXEMPT declares SweepSpec.trace exempt and the audit enforces
-    # it; a registry that still passes proves the declaration is live.
-    from repro.checking.fingerprints import TRACE_EXEMPT
-
-    assert TRACE_EXEMPT["SweepSpec"] == ("trace",)
-    audit_fingerprint_registry()
-
-
-# ----------------------------------------------------------------------
 # sweep integration
 # ----------------------------------------------------------------------
 
 
 class TestSweepIntegration:
     def test_traced_sweep_diagnostics_carry_obs_keys(self) -> None:
-        spec = SweepSpec(
-            workloads=SPEC.workloads,
-            batteries=SPEC.batteries,
-            times=SPEC.times,
-            deltas=SPEC.deltas,
-            methods=SPEC.methods,
-            trace="full",
-        )
-        with obs.override_metrics() as registry:
-            result = run_sweep(spec, options=RunOptions(max_workers=1, execution=FAST))
+        with obs.override_trace("full"), obs.override_metrics() as registry:
+            result = run_sweep(SPEC, options=RunOptions(max_workers=1, execution=FAST))
         validate_diagnostics(result.diagnostics)
         assert result.diagnostics["trace_mode"] == "full"
         assert result.diagnostics["n_spans"] > 0

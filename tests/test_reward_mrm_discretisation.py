@@ -1,94 +1,12 @@
-"""Tests for the MRM container, the inhomogeneous MRM and the explicit scheme."""
+"""Tests for the explicit reward-discretisation scheme."""
 
 import numpy as np
 import pytest
 
-from repro.core.kibamrm import KiBaMRM
 from repro.reward.discretisation import discretised_reward_distribution
-from repro.reward.inhomogeneous import InhomogeneousMRM, from_kibamrm
-from repro.reward.mrm import MarkovRewardModel
 from repro.reward.occupation import two_level_lifetime_cdf
 from repro.workload.onoff import onoff_workload
 from repro.workload.simple import simple_workload
-
-
-@pytest.fixture
-def onoff_mrm():
-    workload = onoff_workload(frequency=1.0, erlang_k=1)
-    return MarkovRewardModel(
-        generator=workload.generator,
-        initial_distribution=workload.initial_distribution,
-        rewards=workload.currents,
-        state_names=workload.state_names,
-    )
-
-
-class TestMarkovRewardModel:
-    def test_distinct_rewards(self, onoff_mrm):
-        assert np.allclose(onoff_mrm.distinct_rewards, [0.0, 0.96])
-
-    def test_expected_accumulated_reward_constant_chain(self):
-        mrm = MarkovRewardModel(np.zeros((1, 1)), [1.0], [2.5])
-        assert mrm.expected_accumulated_reward(4.0) == pytest.approx(10.0, rel=1e-6)
-
-    def test_expected_reward_matches_steady_state_for_long_horizons(self, onoff_mrm):
-        # The on/off model spends half its time drawing 0.96 A.
-        expected = onoff_mrm.expected_accumulated_reward(2000.0)
-        assert expected == pytest.approx(0.48 * 2000.0, rel=0.02)
-
-    def test_reward_bounds(self, onoff_mrm):
-        assert onoff_mrm.reward_ceiling(10.0) == pytest.approx(9.6)
-        assert onoff_mrm.reward_floor(10.0) == 0.0
-
-    def test_exceedance_two_levels(self, onoff_mrm):
-        probability = onoff_mrm.accumulated_reward_exceeds(15000.0, 7200.0)
-        assert 0.3 < probability < 0.7
-
-    def test_exceedance_rejects_multilevel(self):
-        workload = simple_workload()
-        mrm = MarkovRewardModel(
-            workload.generator, workload.initial_distribution, workload.currents
-        )
-        with pytest.raises(NotImplementedError):
-            mrm.accumulated_reward_exceeds(10.0, 1.0)
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            MarkovRewardModel(np.zeros((2, 2)), [1.0, 0.0], [1.0])
-
-
-class TestInhomogeneousMRM:
-    def test_from_kibamrm_reward_rates(self, paper_battery):
-        workload = onoff_workload(frequency=1.0, erlang_k=1)
-        kibamrm = KiBaMRM(workload=workload, battery=paper_battery)
-        inhomogeneous = from_kibamrm(kibamrm)
-        assert inhomogeneous.n_states == 2
-        assert inhomogeneous.upper_bounds == pytest.approx((4500.0, 2700.0))
-        # At full charge the heights are equal: no transfer, pure drain.
-        dy1, dy2 = inhomogeneous.reward_derivatives(0, 4500.0, 2700.0)
-        assert dy1 == pytest.approx(-0.96)
-        assert dy2 == pytest.approx(0.0)
-        # After a partial discharge the bound well replenishes the available well.
-        dy1, dy2 = inhomogeneous.reward_derivatives(1, 3000.0, 2700.0)
-        assert dy1 > 0.0
-        assert dy2 == pytest.approx(-dy1)
-
-    def test_generator_is_level_independent(self, paper_battery):
-        workload = onoff_workload(frequency=1.0)
-        inhomogeneous = from_kibamrm(KiBaMRM(workload=workload, battery=paper_battery))
-        assert np.allclose(inhomogeneous.generator(100.0, 50.0), workload.generator)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            InhomogeneousMRM(
-                n_states=1,
-                generator_at=lambda y1, y2: np.zeros((1, 1)),
-                reward_rates_at=lambda y1, y2: np.zeros((1, 2)),
-                initial_distribution=np.array([1.0]),
-                initial_rewards=(5.0, 0.0),
-                lower_bounds=(0.0, 0.0),
-                upper_bounds=(1.0, 0.0),
-            )
 
 
 class TestExplicitDiscretisation:

@@ -359,14 +359,14 @@ class TestStoreEviction:
             assert service.store.disk_hits == 1
         default = serve(options=RunOptions(cache_dir=tmp_path / "default"))
         assert default.store.max_entries == DEFAULT_STORE_ENTRIES
+        for unbounded in (serve(max_entries=None), LifetimeService(max_entries=None)):
+            assert unbounded.store.max_entries is None
 
 
 class TestRunOptions:
     def test_validation(self) -> None:
         with pytest.raises(ValueError, match="max_workers"):
             RunOptions(max_workers=0)
-        with pytest.raises(ValueError, match="failure_mode"):
-            RunOptions(failure_mode="shrug")
 
     def test_resolve_cache_prefers_explicit(self, tmp_path) -> None:
         cache = SweepCache()

@@ -37,7 +37,7 @@ from typing import Any, IO, Mapping
 import numpy as np
 
 from repro.api import serve
-from repro.service import LifetimeQuery, LifetimeService, ServiceResponse
+from repro.service import DEFAULT_STORE_ENTRIES, LifetimeQuery, LifetimeService, ServiceResponse
 
 __all__ = ["build_service", "handle_payload", "main", "response_document", "run_jsonl"]
 
@@ -173,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--max-entries",
         type=int,
-        default=None,
+        default=DEFAULT_STORE_ENTRIES,
         help="LRU bound of the in-memory result store",
     )
     parser.add_argument(
