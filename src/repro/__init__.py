@@ -12,7 +12,7 @@ computes the distribution of the battery lifetime.
 The recommended entry point is the **unified solver engine**
 (:mod:`repro.engine`): describe the lifetime question once as a
 :class:`~repro.engine.LifetimeProblem` and hand it to any of the
-registered, interchangeable backends --
+built-in, interchangeable backends --
 
 * ``analytic`` -- the exact occupation-time algorithm (two-level-current
   workloads without well-to-well transfer),
@@ -59,8 +59,8 @@ Sub-packages
     :func:`repro.api.sweep`, :func:`repro.api.serve` plus the stable
     request/result types.  New code should import from here.
 ``repro.engine``
-    The unified lifetime-solver layer: problems, results, the solver
-    registry, batched scenario execution and deterministic-profile helpers.
+    The unified lifetime-solver layer: problems, results, the fixed solver
+    table, batched scenario execution and deterministic-profile helpers.
 ``repro.service``
     The long-lived lifetime-query service: fingerprint-keyed result store
     with LRU eviction, request coalescing, warm solve workspace.
@@ -75,7 +75,7 @@ Sub-packages
 ``repro.markov``
     CTMC substrate: sparse-first uniformisation (with the reusable
     :class:`~repro.markov.uniformization.TransientPropagator`), memoised
-    Fox--Glynn windows, steady state, phase types.
+    Fox--Glynn windows, steady state, structural validation.
 ``repro.reward``
     Markov reward models, Sericola's exact performability algorithm.
 ``repro.core``

@@ -94,7 +94,7 @@ def solve(
     """Answer one lifetime question with the named solver (default ``auto``).
 
     Facade over :func:`repro.engine.registry.solve_lifetime`; see there
-    for the method registry and workspace semantics.
+    for the solver names and workspace semantics.
     """
     return solve_lifetime(problem, method, workspace=workspace)
 

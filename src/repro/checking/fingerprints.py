@@ -11,9 +11,9 @@ mattered) or needlessly misses (if it did not).
 
 Every field must therefore be declared here, exactly once per class, as
 either **relevant** (it feeds the fingerprint) or **exempt** (it provably
-cannot change the solved curve: labels, presentation metadata, and the
-knobs whose whole design contract is numerical equivalence -- transient
-mode, chain backend).  Two enforcement layers read this table:
+cannot change the solved curve: labels, and the chain backend, whose whole
+design contract is numerical equivalence).  Two enforcement layers read
+this table:
 
 * lint rule RPR003 (``tools/repro_lint.py``) parses the literal below and
   flags any dataclass field of these classes (or their subtypes) that is
@@ -54,10 +54,6 @@ FINGERPRINT_FIELDS = {
         "exempt": (
             # Presentation only: never touches the numerics.
             "label",
-            "metadata",
-            # Equivalence-contract knob: incremental and single-pass agree
-            # within epsilon, so the cache must serve across them.
-            "transient_mode",
         ),
     },
     "MultiBatteryProblem": {
@@ -100,7 +96,7 @@ FINGERPRINT_FIELDS = {
             "horizon",
             "seed",
         ),
-        "exempt": ("transient_mode",),
+        "exempt": (),
     },
 }
 

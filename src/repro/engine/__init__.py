@@ -10,10 +10,10 @@ This sub-package puts all of them behind a single interface:
   grid, tuning knobs);
 * :class:`LifetimeResult` is the uniform answer (CDF, summary statistics,
   method metadata, solver diagnostics);
-* the string-keyed solver registry (:func:`solve_lifetime`,
-  :func:`get_solver`, :func:`register_solver`) routes problems to the
-  ``analytic``, ``mrm-uniformization`` and ``monte-carlo`` backends or
-  lets ``auto`` dispatch by problem structure and size;
+* a fixed table of solvers (:func:`solve_lifetime`, :func:`get_solver`)
+  routes problems by name to the ``analytic``, ``mrm-uniformization`` and
+  ``monte-carlo`` backends or lets ``auto`` dispatch by problem structure
+  and size;
 * :class:`ScenarioBatch` solves many (workload x battery) scenarios in one
   call with shared-work reuse: memoised Poisson windows, cached sparse
   chain builds and blocked propagation of stacked initial vectors;
@@ -58,12 +58,7 @@ from repro.engine.executor import (
 from repro.engine.faults import InjectedFaultError, override_faults, parse_faults
 from repro.engine.options import RunOptions
 from repro.engine.problem import LifetimeProblem, default_delta
-from repro.engine.registry import (
-    available_solvers,
-    get_solver,
-    register_solver,
-    solve_lifetime,
-)
+from repro.engine.registry import available_solvers, get_solver, solve_lifetime
 from repro.engine.result import LifetimeResult
 from repro.engine.solvers import (
     AnalyticSolver,
@@ -115,7 +110,6 @@ __all__ = [
     "get_solver",
     "override_faults",
     "parse_faults",
-    "register_solver",
     "run_sweep",
     "scenario_fingerprint",
     "solve_lifetime",

@@ -5,9 +5,8 @@ is exposed to the rest of the library through one tiny interface:
 
 ``solve(problem, workspace=None) -> LifetimeResult``
 
-plus a :meth:`supports` predicate the registry's ``auto`` dispatcher uses
-to find an applicable method.  New backends only need to implement this
-protocol and register themselves under a string key.
+plus a :meth:`supports` predicate.  The four built-in solvers sit in the
+fixed table of :mod:`repro.engine.registry`.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ class EngineError(RuntimeError):
 
 
 class UnknownSolverError(EngineError, KeyError):
-    """Raised when a solver name is not present in the registry."""
+    """Raised when a name matches no built-in solver."""
 
 
 class UnsupportedProblemError(EngineError, ValueError):
@@ -41,8 +40,8 @@ class LifetimeSolver(Protocol):
     Attributes
     ----------
     name:
-        The registry key the solver is published under; also recorded as
-        ``method`` on the results it produces.
+        The name the solver is looked up by; also recorded as ``method``
+        on the results it produces.
     """
 
     name: str

@@ -84,15 +84,9 @@ def chain_merge_key(problem: LifetimeProblem) -> tuple[Any, ...]:
             problem.chain_key(),
             problem.resolved_backend(),
             float(problem.epsilon),
-            problem.transient_mode,
         )
     if problem.has_transfer:
-        return (
-            "identical",
-            problem.chain_key(),
-            float(problem.epsilon),
-            problem.transient_mode,
-        )
+        return ("identical", problem.chain_key(), float(problem.epsilon))
     return (
         "stacked",
         problem.workload_fingerprint(),
@@ -100,7 +94,6 @@ def chain_merge_key(problem: LifetimeProblem) -> tuple[Any, ...]:
         float(problem.battery.k),
         float(problem.effective_delta),
         float(problem.epsilon),
-        problem.transient_mode,
     )
 
 
@@ -215,7 +208,7 @@ class ScenarioBatch:
         Parameters
         ----------
         method:
-            Registry key applied to every scenario; ``"auto"`` dispatches
+            Solver name applied to every scenario; ``"auto"`` dispatches
             each scenario independently.
         workspace:
             Optional shared workspace; one is created (and its reuse
@@ -304,7 +297,6 @@ class ScenarioBatch:
                 merged_times,
                 epsilon=float(group[0].epsilon),
                 projection=ws.empty_projection(chain, key),
-                mode=group[0].transient_mode,
             )
         # Steady-state notes key on the physical chain (the flattening time
         # is backend-independent), not on the workspace build key.

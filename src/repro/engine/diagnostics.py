@@ -56,7 +56,6 @@ DIAGNOSTICS_SCHEMA = {
     "wall_seconds": "wall-clock seconds of the producing call",
     "backend": "chain backend that solved (assembled/matrix-free/lumped)",
     # -- transient fast-path telemetry (transient_diagnostics) ----------
-    "transient_mode": "incremental or single-pass propagation",
     "n_segments": "Poisson-window segments of the incremental chain",
     "iterations_saved": "products avoided by steady-state detection",
     "steady_state_time": "detected steady-state time (None if not reached)",

@@ -5,14 +5,14 @@ answer: given a stochastic workload and a KiBaM parameter set, what is the
 distribution of the battery lifetime on a grid of time points?  The problem
 object also carries the per-method tuning knobs (discretisation step,
 truncation error, number of Monte-Carlo runs) so that one description can be
-handed to any registered solver -- or to the ``auto`` dispatcher, which
+handed to any built-in solver -- or to the ``auto`` dispatcher, which
 picks a solver from the problem's structure and size.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -42,7 +42,7 @@ def default_delta(battery: KiBaMParameters, *, n_levels: int = DEFAULT_AVAILABLE
 
 @dataclass(frozen=True, eq=False)
 class LifetimeProblem:
-    """One battery-lifetime question, solvable by any registered solver.
+    """One battery-lifetime question, solvable by any built-in solver.
 
     Attributes
     ----------
@@ -51,29 +51,23 @@ class LifetimeProblem:
     battery:
         The KiBaM parameter set.
     times:
-        Evaluation time grid (seconds); strictly increasing, non-negative.
+        Evaluation time grid (seconds); finite, strictly increasing,
+        non-negative.
     delta:
         Discretisation step size (As) for the Markovian approximation;
         ``None`` selects a default of ~100 available-charge levels.
     epsilon:
-        Truncation error bound for the uniformisation-based solvers.
+        Truncation error bound for the uniformisation-based solvers; lies
+        in (0, 1).
     n_runs:
         Number of replications for the Monte-Carlo solver.
     seed:
         Seed for the stochastic solvers.
     horizon:
-        Optional per-run horizon for the Monte-Carlo solver.
+        Optional positive, finite per-run horizon for the Monte-Carlo
+        solver.
     label:
         Optional curve label attached to the resulting distribution.
-    transient_mode:
-        Evaluation strategy of the uniformisation-based solvers:
-        ``"incremental"`` (default; segment chaining with steady-state
-        detection) or ``"single-pass"`` (the classical shared sweep, kept
-        for cross-checks).  Both strategies agree within ``epsilon``, so
-        the mode is deliberately *excluded* from :meth:`chain_key` and the
-        sweep-cache fingerprints -- run cross-checks without a sweep
-        cache, or the second mode is answered from the first mode's
-        entries.
     """
 
     workload: WorkloadModel
@@ -85,17 +79,18 @@ class LifetimeProblem:
     seed: int = 20070625
     horizon: float | None = None
     label: str | None = None
-    transient_mode: str = "incremental"
-    metadata: dict[str, Any] = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         times = np.atleast_1d(np.asarray(self.times, dtype=float)).ravel()
         if times.size == 0:
             raise ValueError("a lifetime problem needs at least one time point")
+        finite = np.isfinite(times)
+        if not np.all(finite):
+            raise ValueError(f"times must be finite, got {times[~finite][0]}")
         if np.any(times < 0):
-            raise ValueError("time points must be non-negative")
+            raise ValueError("times must be non-negative")
         if np.any(np.diff(times) <= 0):
-            raise ValueError("time points must be strictly increasing")
+            raise ValueError("times must be strictly increasing")
         object.__setattr__(self, "times", times)
         if self.delta is not None:
             delta = float(self.delta)
@@ -107,17 +102,12 @@ class LifetimeProblem:
                     f"({self.battery.available_capacity:g} As)"
                 )
             object.__setattr__(self, "delta", delta)
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < 1.0:
+            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if self.n_runs < 1:
             raise ValueError("n_runs must be at least 1")
-        from repro.markov.uniformization import TRANSIENT_MODES
-
-        if self.transient_mode not in TRANSIENT_MODES:
-            raise ValueError(
-                f"unknown transient mode {self.transient_mode!r}; expected one "
-                f"of {TRANSIENT_MODES}"
-            )
+        if self.horizon is not None and not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
 
     # ------------------------------------------------------------------
     @property
@@ -187,10 +177,6 @@ class LifetimeProblem:
     def with_label(self, label: str | None) -> "LifetimeProblem":
         """Return a copy with a different curve label."""
         return replace(self, label=label)
-
-    def with_transient_mode(self, transient_mode: str) -> "LifetimeProblem":
-        """Return a copy with a different uniformisation strategy."""
-        return replace(self, transient_mode=transient_mode)
 
     # ------------------------------------------------------------------
     def workload_fingerprint(self) -> tuple[Any, ...]:

@@ -1,11 +1,9 @@
-"""String-keyed registry of lifetime solvers.
+"""The fixed table of lifetime solvers.
 
-The registry decouples *asking* a lifetime question from *how* it is
-answered: callers hold a :class:`~repro.engine.problem.LifetimeProblem` and
-a method name (``"analytic"``, ``"mrm-uniformization"``, ``"monte-carlo"``
-or ``"auto"``), and :func:`solve_lifetime` routes it to the registered
-backend.  New backends (and test doubles) register themselves with
-:func:`register_solver`.
+Callers hold a :class:`~repro.engine.problem.LifetimeProblem` and a method
+name (``"analytic"``, ``"mrm-uniformization"``, ``"monte-carlo"`` or
+``"auto"``), and :func:`solve_lifetime` routes it to the built-in solver of
+that name.
 """
 
 from __future__ import annotations
@@ -13,47 +11,44 @@ from __future__ import annotations
 from repro.engine.base import LifetimeSolver, UnknownSolverError
 from repro.engine.problem import LifetimeProblem
 from repro.engine.result import LifetimeResult
+from repro.engine.solvers import (
+    AnalyticSolver,
+    AutoSolver,
+    MonteCarloSolver,
+    MRMUniformizationSolver,
+)
 from repro.engine.workspace import SolveWorkspace
 
 __all__ = [
     "available_solvers",
     "get_solver",
-    "register_solver",
     "solve_lifetime",
 ]
 
-_REGISTRY: dict[str, LifetimeSolver] = {}
-_BUILTINS_LOADED = False
-
-
-def register_solver(name: str, solver: LifetimeSolver, *, replace: bool = False) -> None:
-    """Register *solver* under *name*.
-
-    Re-registering an existing name requires ``replace=True`` so that typos
-    cannot silently shadow a built-in backend.
-    """
-    if not name:
-        raise ValueError("a solver needs a non-empty name")
-    if not replace and name in _REGISTRY and _REGISTRY[name] is not solver:
-        raise ValueError(f"a solver named {name!r} is already registered")
-    _REGISTRY[name] = solver
+_SOLVERS: dict[str, LifetimeSolver] = {
+    solver.name: solver
+    for solver in (
+        AnalyticSolver(),
+        MRMUniformizationSolver(),
+        MonteCarloSolver(),
+        AutoSolver(),
+    )
+}
 
 
 def get_solver(name: str) -> LifetimeSolver:
-    """Return the solver registered under *name*."""
-    _ensure_loaded()
+    """Return the solver called *name*."""
     try:
-        return _REGISTRY[name]
+        return _SOLVERS[name]
     except KeyError:
         raise UnknownSolverError(
-            f"unknown solver {name!r}; available: {', '.join(sorted(_REGISTRY))}"
+            f"unknown solver {name!r}; available: {', '.join(sorted(_SOLVERS))}"
         ) from None
 
 
 def available_solvers() -> list[str]:
-    """Return the names of all registered solvers."""
-    _ensure_loaded()
-    return sorted(_REGISTRY)
+    """Return the names of the built-in solvers."""
+    return sorted(_SOLVERS)
 
 
 def solve_lifetime(
@@ -69,7 +64,7 @@ def solve_lifetime(
     problem:
         The lifetime question (workload, battery, time grid, tuning knobs).
     method:
-        Registry key of the solver to use; ``"auto"`` dispatches by problem
+        Name of the solver to use; ``"auto"`` dispatches by problem
         structure and size.
     workspace:
         Optional :class:`SolveWorkspace` shared across calls, so repeated
@@ -79,25 +74,3 @@ def solve_lifetime(
         propagation on top.
     """
     return get_solver(method).solve(problem, workspace=workspace)
-
-
-def _ensure_loaded() -> None:
-    """Register the built-in solvers (idempotent)."""
-    global _BUILTINS_LOADED
-    if _BUILTINS_LOADED:
-        return
-    _BUILTINS_LOADED = True
-    from repro.engine.solvers import (
-        AnalyticSolver,
-        AutoSolver,
-        MonteCarloSolver,
-        MRMUniformizationSolver,
-    )
-
-    for solver in (
-        AnalyticSolver(),
-        MRMUniformizationSolver(),
-        MonteCarloSolver(),
-        AutoSolver(),
-    ):
-        _REGISTRY.setdefault(solver.name, solver)

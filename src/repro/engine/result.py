@@ -38,7 +38,7 @@ class LifetimeResult:
     distribution:
         The lifetime CDF on the problem's time grid.
     method:
-        Registry key of the solver that produced the result (for ``auto``
+        Name of the solver that produced the result (for ``auto``
         dispatches this is the *concrete* solver that ran).
     diagnostics:
         Solver-specific diagnostics: number of states, non-zeros, iteration

@@ -44,7 +44,7 @@ from repro.simulation.lifetime_sim import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.checking.protocols import DiscretizedChain
-    from repro.markov.uniformization import BatchTransientResult, UniformizationResult
+    from repro.markov.uniformization import BatchTransientResult
 
 __all__ = [
     "AnalyticSolver",
@@ -100,20 +100,17 @@ def cdf_mass_diagnostics(distribution: LifetimeDistribution) -> dict[str, Any]:
     }
 
 
-def transient_diagnostics(
-    transient: BatchTransientResult | UniformizationResult,
-) -> dict[str, Any]:
+def transient_diagnostics(transient: BatchTransientResult) -> dict[str, Any]:
     """Diagnostics entries describing one uniformisation transient solve.
 
     Shared by the individual MRM solver and the batched scenario runner so
-    both report the fast-path telemetry (mode, segment count, steady-state
+    both report the fast-path telemetry (segment count, steady-state
     detection point and the products it saved) under the same keys,
     together with the process-global Poisson weight-cache counters.
     """
     from repro.markov.poisson import poisson_cache_diagnostics
 
     return {
-        "transient_mode": transient.mode,
         "n_segments": transient.n_segments,
         "iterations_saved": transient.iterations_saved,
         "steady_state_time": transient.steady_state_time,
@@ -244,13 +241,12 @@ class MRMUniformizationSolver:
             chain = ws.discretized(problem.model(), delta, build_key, backend=backend)
             propagator = ws.propagator(chain, build_key)
 
-            with obs.span("transient", mode=problem.transient_mode):
+            with obs.span("transient"):
                 transient = propagator.transient_batch(
                     chain.initial_distribution[None, :],
                     problem.times,
                     epsilon=problem.epsilon,
                     projection=ws.empty_projection(chain, build_key),
-                    mode=problem.transient_mode,
                 )
         ws.note_steady_state(problem.chain_key(), transient.steady_state_time)
         elapsed = obs.now() - started
@@ -381,49 +377,35 @@ class MonteCarloSolver:
         )
 
 
-def choose_method(
-    problem: LifetimeProblem,
-    *,
-    max_mrm_states: int = MAX_AUTO_MRM_STATES,
-    max_matrixfree_states: int = MAX_AUTO_MATRIXFREE_STATES,
-) -> str:
-    """Return the registry key ``auto`` dispatches *problem* to.
+def choose_method(problem: LifetimeProblem) -> str:
+    """Return the solver name ``auto`` dispatches *problem* to.
 
     Exact analytic solution when it applies; otherwise the Markovian
     approximation while the chain the solver would actually iterate on
     stays below its size budget; Monte-Carlo simulation beyond that.  For
     multi-battery problems the budget follows the resolved product-chain
     backend: the symmetry-lumped quotient of an identical bank counts its
-    (much smaller) quotient states against *max_mrm_states*, and
-    matrix-free banks -- no assembled matrix to hold -- get the larger
-    *max_matrixfree_states* budget.
+    (much smaller) quotient states against :data:`MAX_AUTO_MRM_STATES`,
+    and matrix-free banks -- no assembled matrix to hold -- get the larger
+    :data:`MAX_AUTO_MATRIXFREE_STATES` budget.
     """
     if AnalyticSolver().supports(problem):
         return AnalyticSolver.name
     if problem.is_multibattery:
-        # The dispatcher's own MRM budget doubles as the assembled-backend
-        # threshold of the resolution, so a lowered max_mrm_states pushes
-        # mid-size banks onto the matrix-free budget instead of silently
-        # falling back to Monte-Carlo.  (AutoSolver pins the backend it
-        # resolved here onto the problem before delegating, so the solve
-        # cannot re-resolve differently under the default threshold.)
-        backend = problem.resolved_backend(assembled_limit=max_mrm_states)
-        limit = max_matrixfree_states if backend == "matrix-free" else max_mrm_states
-        if problem.estimated_backend_states(assembled_limit=max_mrm_states) <= limit:
+        matrix_free = problem.resolved_backend() == "matrix-free"
+        limit = MAX_AUTO_MATRIXFREE_STATES if matrix_free else MAX_AUTO_MRM_STATES
+        if problem.estimated_backend_states() <= limit:
             return MRMUniformizationSolver.name
         return MonteCarloSolver.name
-    if problem.estimated_mrm_states() <= max_mrm_states:
+    if problem.estimated_mrm_states() <= MAX_AUTO_MRM_STATES:
         return MRMUniformizationSolver.name
     return MonteCarloSolver.name
 
 
 class AutoSolver:
-    """Structure- and size-based dispatcher over the registered solvers."""
+    """Structure- and size-based dispatcher over the built-in solvers."""
 
     name = "auto"
-
-    def __init__(self, *, max_mrm_states: int = MAX_AUTO_MRM_STATES) -> None:
-        self.max_mrm_states = int(max_mrm_states)
 
     def supports(self, problem: LifetimeProblem) -> bool:
         return True
@@ -433,19 +415,7 @@ class AutoSolver:
     ) -> LifetimeResult:
         from repro.engine.registry import get_solver
 
-        method = choose_method(problem, max_mrm_states=self.max_mrm_states)
-        if (
-            problem.is_multibattery
-            and problem.backend == "auto"
-            and method == MRMUniformizationSolver.name
-        ):
-            # Pin the backend this dispatch reasoned about: without it, a
-            # custom max_mrm_states could resolve "matrix-free" here while
-            # the delegated solve re-resolves under the default threshold
-            # and assembles the very matrix the lowered budget precluded.
-            problem = problem.with_backend(
-                problem.resolved_backend(assembled_limit=self.max_mrm_states)
-            )
+        method = choose_method(problem)
         obs.count("auto_dispatch." + method)
         result = get_solver(method).solve(problem, workspace=workspace)
         diagnostics = dict(result.diagnostics)

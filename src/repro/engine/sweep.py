@@ -126,19 +126,17 @@ def scenario_fingerprint(problem: LifetimeProblem, method: str) -> str:
     name (resolve ``"auto"`` with
     :func:`~repro.engine.solvers.choose_method` first), otherwise the same
     scenario solved via ``auto`` and via its concrete solver would be cached
-    twice.  The uniformisation ``transient_mode`` is deliberately *not*
-    part of the key: both strategies agree within ``epsilon``, so switching
-    the mode must not invalidate the deterministic cache.  The
-    multi-battery product-chain ``backend`` (assembled / matrix-free /
-    lumped) is excluded for the same reason -- every backend computes the
-    same lifetime law.  The execution knobs (worker count, retries,
-    timeouts, failure mode, trace mode) never reach a problem, so *how* a
-    scenario was solved cannot change its key: a retried or traced
-    scenario hits the cache entry its first, untraced attempt wrote.  The
-    flip side:
-    a sweep meant to *cross-check* the two modes (or two backends) against
-    each other must run with ``cache=None`` (or distinct caches), otherwise
-    the second run is served the first run's cached results verbatim.
+    twice.  The multi-battery product-chain ``backend`` (assembled /
+    matrix-free / lumped) is deliberately *not* part of the key: every
+    backend computes the same lifetime law within ``epsilon``, so
+    switching it must not invalidate the deterministic cache.  The
+    execution knobs (worker count, retries, timeouts, failure mode, trace
+    mode) never reach a problem, so *how* a scenario was solved cannot
+    change its key: a retried or traced scenario hits the cache entry its
+    first, untraced attempt wrote.  The flip side: a sweep meant to
+    *cross-check* two backends against each other must run with
+    ``cache=None`` (or distinct caches), otherwise the second run is served
+    the first run's cached results verbatim.
     """
     if str(method) in DETERMINISTIC_METHODS:
         stochastic_knobs: tuple[Any, ...] = ()
@@ -417,7 +415,7 @@ class SweepSpec:
     deltas:
         Discretisation-step axis; ``None`` entries select the default step.
     methods:
-        Solver axis (registry keys, ``"auto"`` allowed).
+        Solver axis (solver names, ``"auto"`` allowed).
     policies:
         Scheduling-policy axis for bank entries (registry names or policy
         instances); the default single ``None`` entry means
@@ -432,10 +430,6 @@ class SweepSpec:
         Base seed; every scenario receives its own child seed via
         :func:`~repro.simulation.rng.spawn_seeds`, in scenario order, so
         stochastic solvers are reproducible independent of worker count.
-    transient_mode:
-        Uniformisation strategy shared by every scenario
-        (``"incremental"`` or ``"single-pass"``); excluded from the cache
-        fingerprints, which stay stable across modes.
 
     How the spec is run -- workers, cache, retries, failure mode -- is
     :class:`~repro.engine.options.RunOptions`; tracing is ``REPRO_TRACE``
@@ -453,7 +447,6 @@ class SweepSpec:
     n_runs: int = 1000
     horizon: float | None = None
     seed: int = DEFAULT_SEED
-    transient_mode: str = "incremental"
 
     def __len__(self) -> int:
         return (
@@ -518,7 +511,6 @@ class SweepSpec:
                                 n_runs=int(self.n_runs),
                                 seed=seeds[len(problems)],
                                 horizon=self.horizon,
-                                transient_mode=self.transient_mode,
                             )
                             if isinstance(bank, KiBaMParameters):
                                 label = (
@@ -1050,7 +1042,7 @@ def run_sweep(
         :class:`ScenarioBatch`, or an iterable of
         :class:`LifetimeProblem` objects.
     method:
-        Registry key applied to every scenario when *scenarios* is not a
+        Solver name applied to every scenario when *scenarios* is not a
         :class:`SweepSpec`; ``"auto"`` resolves per scenario.
     options:
         :class:`~repro.engine.options.RunOptions` bundling every execution

@@ -1,22 +1,22 @@
-"""Construction and validation of CTMC generator matrices.
+"""Helpers for CTMC generator matrices.
 
 A generator (infinitesimal generator, or Q-matrix) has non-negative
 off-diagonal entries and rows that sum to zero.  The helpers in this module
 accept both dense :class:`numpy.ndarray` matrices and ``scipy.sparse``
 matrices, because the workload models of the paper are tiny (2--5 states)
 while the discretised KiBaMRM chains easily reach hundreds of thousands of
-states.
+states.  The Q-matrix check itself is
+:func:`repro.markov.validate.validate_generator`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.checking.dense import dense_fallback
 from repro.checking.protocols import FloatArray
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -25,13 +25,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "GeneratorError",
     "as_csr",
-    "build_generator",
-    "embedded_jump_matrix",
     "exit_rates",
-    "is_generator",
     "kron_chain",
     "uniformized_matrix",
-    "validate_generator",
 ]
 
 #: Default absolute tolerance used when checking that rows sum to zero.
@@ -80,62 +76,6 @@ def kron_chain(factors: Iterable[GeneratorLike]) -> sp.csr_matrix:
     return product.tocsr()
 
 
-def build_generator(
-    n_states: int,
-    transitions: Iterable[tuple[int, int, float]],
-    *,
-    sparse: bool = False,
-) -> FloatArray | sp.csr_matrix:
-    """Build a generator matrix from a list of transitions.
-
-    Parameters
-    ----------
-    n_states:
-        Number of states of the chain.
-    transitions:
-        Iterable of ``(source, target, rate)`` triples with ``rate >= 0``
-        and ``source != target``.  Rates for the same pair accumulate.
-    sparse:
-        If ``True`` the result is a ``scipy.sparse.csr_matrix``; otherwise a
-        dense :class:`numpy.ndarray`.
-
-    Returns
-    -------
-    numpy.ndarray or scipy.sparse.csr_matrix
-        A valid generator matrix with diagonal entries equal to the negated
-        off-diagonal row sums.
-    """
-    if n_states <= 0:
-        raise GeneratorError("a generator needs at least one state")
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for source, target, rate in transitions:
-        if not 0 <= source < n_states or not 0 <= target < n_states:
-            raise GeneratorError(
-                f"transition ({source}, {target}) outside state space of size {n_states}"
-            )
-        if source == target:
-            raise GeneratorError("self-loops are not allowed in a generator")
-        if rate < 0:
-            raise GeneratorError(f"negative rate {rate} for transition ({source}, {target})")
-        if rate == 0:
-            continue
-        rows.append(source)
-        cols.append(target)
-        vals.append(float(rate))
-
-    off_diagonal = sp.coo_matrix(
-        (vals, (rows, cols)), shape=(n_states, n_states), dtype=float
-    ).tocsr()
-    row_sums = np.asarray(off_diagonal.sum(axis=1)).ravel()
-    diagonal = sp.diags(-row_sums)
-    generator = (off_diagonal + diagonal).tocsr()
-    if sparse:
-        return generator
-    return dense_fallback(generator)
-
-
 def exit_rates(generator: GeneratorLike) -> FloatArray:
     """Return the exit rate ``q_i = -Q[i, i]`` of every state.
 
@@ -150,52 +90,6 @@ def exit_rates(generator: GeneratorLike) -> FloatArray:
     else:
         diagonal = np.diagonal(np.asarray(generator, dtype=float))
     return -np.asarray(diagonal, dtype=float)
-
-
-def validate_generator(generator: GeneratorLike, *, tolerance: float = DEFAULT_TOLERANCE) -> None:
-    """Raise :class:`GeneratorError` if *generator* is not a valid Q-matrix.
-
-    The checks are: the matrix is square, all off-diagonal entries are
-    non-negative, the diagonal entries are non-positive, and every row sums
-    to zero (within *tolerance*, scaled by the exit rate of the row).
-    """
-    if _is_sparse(generator):
-        shape = generator.shape
-        if shape[0] != shape[1]:
-            raise GeneratorError(f"generator must be square, got shape {shape}")
-        coo = generator.tocoo()
-        off_diag_mask = coo.row != coo.col
-        if np.any(coo.data[off_diag_mask] < -tolerance):
-            raise GeneratorError("generator has negative off-diagonal entries")
-        diagonal = generator.diagonal()
-        row_sums = np.asarray(generator.sum(axis=1)).ravel()
-    else:
-        matrix = np.asarray(generator, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise GeneratorError(f"generator must be square, got shape {matrix.shape}")
-        off_diagonal = matrix - np.diag(np.diagonal(matrix))
-        if np.any(off_diagonal < -tolerance):
-            raise GeneratorError("generator has negative off-diagonal entries")
-        diagonal = np.diagonal(matrix)
-        row_sums = matrix.sum(axis=1)
-
-    if np.any(np.asarray(diagonal) > tolerance):
-        raise GeneratorError("generator has positive diagonal entries")
-    scale = np.maximum(1.0, np.abs(np.asarray(diagonal)))
-    if np.any(np.abs(row_sums) > tolerance * scale):
-        worst = int(np.argmax(np.abs(row_sums) / scale))
-        raise GeneratorError(
-            f"row {worst} of the generator sums to {row_sums[worst]!r}, expected 0"
-        )
-
-
-def is_generator(generator: GeneratorLike, *, tolerance: float = DEFAULT_TOLERANCE) -> bool:
-    """Return ``True`` when *generator* is a valid Q-matrix."""
-    try:
-        validate_generator(generator, tolerance=tolerance)
-    except GeneratorError:
-        return False
-    return True
 
 
 def uniformized_matrix(
@@ -228,40 +122,3 @@ def uniformized_matrix(
         return (sp.identity(n, format="csr") + generator.tocsr() / rate).tocsr()
     matrix = np.asarray(generator, dtype=float)
     return np.eye(matrix.shape[0]) + matrix / rate
-
-
-def embedded_jump_matrix(generator: GeneratorLike) -> FloatArray:
-    """Return the jump-chain (embedded DTMC) matrix of a generator.
-
-    For a state ``i`` with exit rate ``q_i > 0`` the probability of jumping
-    to ``j != i`` is ``Q[i, j] / q_i``.  Absorbing states (``q_i == 0``)
-    receive a self-loop with probability one.  The result is always dense
-    because it is only used for the small workload chains and for sampling.
-    """
-    matrix = dense_fallback(generator)
-    n = matrix.shape[0]
-    rates = exit_rates(matrix)
-    jump = np.zeros_like(matrix)
-    for i in range(n):
-        if rates[i] <= 0.0:
-            jump[i, i] = 1.0
-            continue
-        jump[i] = matrix[i] / rates[i]
-        jump[i, i] = 0.0
-    return jump
-
-
-def restrict_generator(
-    generator: GeneratorLike, states: Sequence[int]
-) -> FloatArray | sp.csr_matrix:
-    """Return the sub-generator restricted to *states* (rows and columns).
-
-    The result is in general *not* a proper generator (rows may sum to a
-    negative value) -- it describes the dynamics before leaving the subset,
-    as used in first-passage-time computations.
-    """
-    index = np.asarray(list(states), dtype=int)
-    if _is_sparse(generator):
-        return generator.tocsr()[index][:, index]
-    matrix = np.asarray(generator, dtype=float)
-    return matrix[np.ix_(index, index)]

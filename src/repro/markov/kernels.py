@@ -78,15 +78,12 @@ def segment_python(
     left: int,
     right: int,
     tol: float,
-    progress: Callable[[int], None] | None = None,
 ) -> SegmentResult:
     """The segment loop: one Poisson window of products and accumulation.
 
     *spmm* evaluates one ``v @ P`` product; the loop body reproduces the
     historical inline implementation of the incremental transient solver
     operation-for-operation, so the default pipeline stays bit-identical.
-    *progress* (when given) is invoked once per product with the count of
-    products performed so far in this segment.
     """
     accumulated = np.zeros_like(v)
     # Reused per-iteration work buffers: the weighted copy of the iterate
@@ -107,8 +104,6 @@ def segment_python(
             break
         v_next = spmm(v)
         performed += 1
-        if progress is not None:
-            progress(performed)
         if tol > 0.0:
             np.subtract(v_next, v, out=scaled)
             np.abs(scaled, out=scaled)
@@ -159,7 +154,6 @@ class ScipyKernel:
         left: int,
         right: int,
         tol: float,
-        progress: Callable[[int], None] | None = None,
     ) -> SegmentResult:
         """Run one Poisson-window segment (see :func:`segment_python`)."""
-        return segment_python(self.spmm, v, weights, left, right, tol, progress)
+        return segment_python(self.spmm, v, weights, left, right, tol)

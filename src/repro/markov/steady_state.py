@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.checking.dense import dense_fallback
 from repro.checking.protocols import FloatArray
-from repro.markov.generator import validate_generator
+from repro.markov.validate import validate_generator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.checking.protocols import GeneratorLike

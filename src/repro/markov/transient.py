@@ -1,10 +1,11 @@
-"""High-level transient-analysis helpers for CTMCs.
+"""Test oracles for the transient solution of CTMCs.
 
-The actual numerical work is done by
-:func:`repro.markov.uniformization.uniformized_transient`; this module adds
-the small conveniences used throughout the library: expm-based reference
-solutions for cross-checks, and cumulative (time-integrated) state
-probabilities which are needed for expected accumulated rewards.
+The production transient is
+:meth:`repro.markov.uniformization.TransientPropagator.transient_batch`.
+Only tests call this module: :func:`expm_transient` is the dense
+matrix-exponential reference for small chains, and
+:func:`cumulative_state_probabilities` integrates the propagator's output
+over time (the occupation times behind expected accumulated rewards).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import scipy.linalg
 
 from repro.checking.dense import dense_fallback
 from repro.checking.protocols import FloatArray
-from repro.markov.uniformization import uniformized_transient
+from repro.markov.uniformization import TransientPropagator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy.typing as npt
@@ -25,33 +26,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "expm_transient",
-    "transient_distribution",
     "cumulative_state_probabilities",
 ]
-
-
-def transient_distribution(
-    generator: GeneratorLike,
-    initial_distribution: npt.ArrayLike,
-    times: npt.ArrayLike,
-    *,
-    epsilon: float = 1e-10,
-    validate: bool = True,
-) -> FloatArray:
-    """Return transient state distributions at the given time points.
-
-    This is a thin convenience wrapper around
-    :func:`repro.markov.uniformization.uniformized_transient` that returns
-    only the distributions.  If *times* is a scalar, a one-dimensional array
-    is returned; otherwise the result has shape ``(len(times), n_states)``.
-    """
-    scalar = np.isscalar(times)
-    result = uniformized_transient(
-        generator, initial_distribution, times, epsilon=epsilon, validate=validate
-    )
-    if scalar:
-        return result.distributions[0]
-    return result.distributions
 
 
 def expm_transient(
@@ -85,7 +61,7 @@ def cumulative_state_probabilities(
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
     grid = np.linspace(0.0, float(time), int(n_points))
-    distributions = uniformized_transient(
-        generator, initial_distribution, grid, epsilon=epsilon
-    ).distributions
+    distributions = TransientPropagator(generator).transient_batch(
+        initial_distribution, grid, epsilon=epsilon
+    ).values[0]
     return np.trapezoid(distributions, grid, axis=0)

@@ -10,7 +10,8 @@ the uniformised DTMC matrix ``P = I + Q/q``:
         e^{-qt} \\frac{(qt)^n}{n!} \\; \\alpha P^n .
 
 The implementation supports **many output time points** and two evaluation
-strategies, selected with the ``mode`` argument of the solve calls:
+strategies, selected with the ``mode`` argument of
+:meth:`TransientPropagator.transient_batch`:
 
 * ``"incremental"`` (the default) sorts and deduplicates the time grid and
   propagates ``pi(t_j)`` from ``pi(t_{j-1})`` with Poisson rate
@@ -30,32 +31,29 @@ strategies, selected with the ``mode`` argument of the solve calls:
 * ``"single-pass"`` is the classical multi-time-point sweep: the vector
   sequence ``v_n = alpha P^n`` is generated once, up to the largest right
   truncation point, and every requested time point accumulates the terms
-  that fall inside its own Poisson window.  It is kept as a cross-check
-  baseline for the incremental path (and for callers that prefer the
-  single shared error bound per time point).
+  that fall inside its own Poisson window.  It is kept as the reference
+  the incremental path is checked and benchmarked against.
 
 Both paths share the same vectorised weight accumulation: the per-iteration
 work touches only the windows that are active at term ``n`` (one fancy-index
 lookup into the concatenated weight table), and projection products are
 skipped entirely before the first active window.
 
-Two further reuse levers are exposed for the engine layer:
-
-* :class:`TransientPropagator` validates the generator, converts it to CSR
-  and uniformises it **once**, so repeated solves on the same chain (time
-  grid refinements, parameter sweeps) skip all of that per call.
-* :meth:`TransientPropagator.transient_batch` propagates a whole *stack* of
-  initial distributions through the chain in one pass -- the dominating
-  sparse matrix products then operate on a ``(K, n)`` block instead of
-  ``K`` separate vectors, which is substantially faster for scenario
-  batches.
+:class:`TransientPropagator` is the one entry point.  It validates the
+generator, converts it to CSR and uniformises it **once**, so repeated
+solves on the same chain (time grid refinements, parameter sweeps) skip all
+of that per call, and :meth:`~TransientPropagator.transient_batch`
+propagates a whole *stack* of initial distributions in one pass -- the
+dominating sparse matrix products then operate on a ``(K, n)`` block
+instead of ``K`` separate vectors.  A single distribution is a stack of
+one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
@@ -63,7 +61,7 @@ import scipy.sparse as sp
 from repro import obs
 from repro.checking.protocols import FloatArray
 from repro.markov import kernels
-from repro.markov.generator import as_csr, validate_generator
+from repro.markov.generator import as_csr
 from repro.markov.kronecker import KroneckerGenerator, UniformizedOperator
 from repro.markov.poisson import (
     PoissonWeights,
@@ -71,7 +69,7 @@ from repro.markov.poisson import (
     shared_poisson_windows,
     truncation_points,
 )
-from repro.markov.validate import check_generator
+from repro.markov.validate import check_generator, validate_generator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy.typing as npt
@@ -81,9 +79,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "BatchTransientResult",
     "TransientPropagator",
-    "UniformizationResult",
     "uniformization_rate",
-    "uniformized_transient",
 ]
 
 #: Safety factor applied on top of the maximal exit rate when choosing the
@@ -94,53 +90,6 @@ RATE_SAFETY_FACTOR = 1.02
 
 #: The supported evaluation strategies of the transient solvers.
 TRANSIENT_MODES = ("incremental", "single-pass")
-
-
-
-@dataclass
-class UniformizationResult:
-    """Result of a multi-time-point uniformisation run.
-
-    Attributes
-    ----------
-    times:
-        The requested time points (in the order given by the caller).
-    distributions:
-        Array of shape ``(len(times), n_states)``; row ``j`` is the transient
-        state distribution at ``times[j]``.
-    rate:
-        The uniformisation rate that was used.
-    iterations:
-        Number of vector--matrix products that were performed.
-    truncation_error:
-        Upper bound on the neglected Poisson mass, per time point.
-    mode:
-        Evaluation strategy (``"incremental"`` or ``"single-pass"``).
-    iterations_saved:
-        Vector--matrix products avoided by steady-state detection.
-    steady_state_time:
-        Time point during whose segment the iteration was detected to have
-        converged (``None`` when detection never fired).
-    steady_state_iteration:
-        Global product count at which convergence was detected.
-    """
-
-    times: FloatArray
-    distributions: FloatArray
-    rate: float
-    iterations: int
-    truncation_error: FloatArray
-    mode: str = "incremental"
-    iterations_saved: int = 0
-    steady_state_time: float | None = None
-    steady_state_iteration: int | None = None
-
-    def at(self, time: float) -> FloatArray:
-        """Return the distribution computed for time point *time*."""
-        matches = np.nonzero(np.isclose(self.times, time))[0]
-        if matches.size == 0:
-            raise KeyError(f"time point {time} was not part of this solution")
-        return self.distributions[int(matches[0])]
 
 
 @dataclass
@@ -214,9 +163,9 @@ class TransientPropagator:
     The constructor performs all the per-chain work exactly once -- CSR
     conversion (the pipeline is sparse end-to-end; dense workload chains are
     converted at this boundary), validation, exit-rate extraction and
-    uniformisation -- so that every subsequent :meth:`transient` /
-    :meth:`transient_batch` call only pays for the Poisson windows (which
-    are memoised globally) and the vector--matrix products.
+    uniformisation -- so that every subsequent :meth:`transient_batch`
+    call only pays for the Poisson windows (which are memoised globally)
+    and the vector--matrix products.
 
     Parameters
     ----------
@@ -352,38 +301,6 @@ class TransientPropagator:
         """Write the (projected) *block* into the time slot(s) *index*."""
         results[:, index] = block if proj is None else block @ proj
 
-    def transient(
-        self,
-        initial_distribution: npt.ArrayLike,
-        times: npt.ArrayLike,
-        *,
-        epsilon: float = 1e-10,
-        callback: Callable[[int, int], None] | None = None,
-        mode: str = "incremental",
-        steady_state_tol: float | None = None,
-    ) -> UniformizationResult:
-        """Compute transient state distributions at one or more time points."""
-        alpha = np.asarray(initial_distribution, dtype=float).ravel()
-        batch = self.transient_batch(
-            alpha[None, :],
-            times,
-            epsilon=epsilon,
-            callback=callback,
-            mode=mode,
-            steady_state_tol=steady_state_tol,
-        )
-        return UniformizationResult(
-            times=batch.times,
-            distributions=batch.values[0],
-            rate=batch.rate,
-            iterations=batch.iterations,
-            truncation_error=batch.truncation_error,
-            mode=batch.mode,
-            iterations_saved=batch.iterations_saved,
-            steady_state_time=batch.steady_state_time,
-            steady_state_iteration=batch.steady_state_iteration,
-        )
-
     def transient_batch(
         self,
         initial_distributions: npt.ArrayLike,
@@ -391,7 +308,6 @@ class TransientPropagator:
         *,
         epsilon: float = 1e-10,
         projection: npt.ArrayLike | None = None,
-        callback: Callable[[int, int], None] | None = None,
         mode: str = "incremental",
         steady_state_tol: float | None = None,
     ) -> BatchTransientResult:
@@ -417,10 +333,6 @@ class TransientPropagator:
             probability mass of the absorbing "battery empty" states) are
             accumulated, which reduces the memory footprint from
             ``K x T x n`` to ``K x T (x m)``.
-        callback:
-            Optional ``callback(iteration, total_iterations)`` hook, invoked
-            every 1000 block products (``total_iterations`` is an estimate
-            in incremental mode).
         mode:
             ``"incremental"`` (default) or ``"single-pass"``; see the module
             docstring.
@@ -467,11 +379,9 @@ class TransientPropagator:
         unique_times, inverse = np.unique(times_array, return_inverse=True)
 
         if mode == "single-pass":
-            solved = self._single_pass(alphas, unique_times, epsilon, proj, callback)
+            solved = self._single_pass(alphas, unique_times, epsilon, proj)
         else:
-            solved = self._incremental(
-                alphas, unique_times, epsilon, proj, callback, steady_state_tol
-            )
+            solved = self._incremental(alphas, unique_times, epsilon, proj, steady_state_tol)
 
         return BatchTransientResult(
             times=times_array,
@@ -493,7 +403,6 @@ class TransientPropagator:
         unique_times: FloatArray,
         epsilon: float,
         proj: FloatArray | None,
-        callback: Callable[[int, int], None] | None,
     ) -> _SolvedGrid:
         """One shared sweep ``v_n = alpha P^n`` feeding every time window."""
         n_batch = alphas.shape[0]
@@ -538,8 +447,6 @@ class TransientPropagator:
                 if n == max_right:
                     break
                 block = spmm(block)
-                if callback is not None and n % 1000 == 0:
-                    callback(n, max_right)
 
         return _SolvedGrid(
             values=results,
@@ -553,7 +460,6 @@ class TransientPropagator:
         unique_times: FloatArray,
         epsilon: float,
         proj: FloatArray | None,
-        callback: Callable[[int, int], None] | None,
         steady_state_tol: float | None,
     ) -> _SolvedGrid:
         """Chain segments ``pi(t_{j-1}) -> pi(t_j)`` with steady-state detection."""
@@ -599,10 +505,6 @@ class TransientPropagator:
         error_bound = 0.0
         steady_state_time: float | None = None
         steady_state_iteration: int | None = None
-        # Callback totals are an estimate: the Poisson mean of the full
-        # horizon (the exact per-segment right points are not known up
-        # front, and may never be reached thanks to detection).
-        estimated_total = int(math.ceil(self._rate * float(unique_times[-1]))) + 1
 
         for j in range(n_times):
             gap = float(gaps[j])
@@ -635,20 +537,11 @@ class TransientPropagator:
                 tol = fixed_tol
             # The segment's products, weighted accumulation and
             # steady-state change tracking all run inside the kernel.
-            progress: Callable[[int], None] | None = None
-            if callback is not None:
-                base = performed
-
-                def progress(in_segment: int, _base: int = base) -> None:
-                    count = _base + in_segment
-                    if (count - 1) % 1000 == 0:
-                        callback(count - 1, estimated_total)
-
             with obs.detail_span(
                 "segment", index=j, left=window.left, right=window.right
             ):
                 segment = self._kernel.run_segment(
-                    current, window.weights, window.left, window.right, tol, progress
+                    current, window.weights, window.left, window.right, tol
                 )
             performed += segment.performed
             if segment.status == kernels.SEGMENT_START_INVARIANT:
@@ -696,34 +589,3 @@ class _SolvedGrid:
     iterations_saved: int = 0
     steady_state_time: float | None = None
     steady_state_iteration: int | None = None
-
-
-def uniformized_transient(
-    generator: GeneratorLike,
-    initial_distribution: npt.ArrayLike,
-    times: npt.ArrayLike,
-    *,
-    epsilon: float = 1e-10,
-    rate: float | None = None,
-    validate: bool = True,
-    callback: Callable[[int, int], None] | None = None,
-    mode: str = "incremental",
-    steady_state_tol: float | None = None,
-) -> UniformizationResult:
-    """Compute transient state distributions at one or more time points.
-
-    One-shot convenience wrapper around :class:`TransientPropagator`; see
-    there for the parameter semantics.  Callers that solve the same chain
-    repeatedly (time-grid refinements, scenario sweeps) should construct a
-    :class:`TransientPropagator` once instead, which skips the re-validation
-    and re-uniformisation of the generator on every call.
-    """
-    propagator = TransientPropagator(generator, rate=rate, validate=validate)
-    return propagator.transient(
-        initial_distribution,
-        times,
-        epsilon=epsilon,
-        callback=callback,
-        mode=mode,
-        steady_state_tol=steady_state_tol,
-    )

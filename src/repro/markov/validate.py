@@ -87,10 +87,11 @@ def validate_generator(
     """Raise :class:`ValidationError` unless *generator* is a valid Q-matrix.
 
     Checks, each naming the offending state or entry: the matrix is
-    square; off-diagonal entries are non-negative; diagonal entries are
-    non-positive; every row sums to zero within *tolerance* (scaled by
-    the row's exit rate); and, when *rate* is given, the uniformisation
-    rate dominates every diagonal (``rate >= q_i`` for all states).
+    square; every entry of an assembled matrix is finite; off-diagonal
+    entries are non-negative; diagonal entries are non-positive; every row
+    sums to zero within *tolerance* (scaled by the row's exit rate); and,
+    when *rate* is given, the uniformisation rate dominates every diagonal
+    (``rate >= q_i`` for all states).
 
     Accepts dense arrays, scipy sparse matrices and
     :class:`~repro.markov.kronecker.KroneckerGenerator` operators (which
@@ -104,6 +105,10 @@ def validate_generator(
         if shape[0] != shape[1]:
             raise ValidationError(f"generator must be square, got shape {shape}")
         coo = generator.tocoo()
+        not_finite = np.flatnonzero(~np.isfinite(coo.data))
+        if not_finite.size:
+            where = int(not_finite[0])
+            _reject_non_finite(int(coo.row[where]), int(coo.col[where]), coo.data[where])
         off_mask = coo.row != coo.col
         bad = off_mask & (coo.data < -tolerance)
         if np.any(bad):
@@ -120,6 +125,9 @@ def validate_generator(
         matrix = np.asarray(generator, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValidationError(f"generator must be square, got shape {matrix.shape}")
+        rows, cols = np.nonzero(~np.isfinite(matrix))
+        if rows.size:
+            _reject_non_finite(int(rows[0]), int(cols[0]), matrix[rows[0], cols[0]])
         off = matrix - np.diag(np.diagonal(matrix))
         if np.any(off < -tolerance):
             row, col = np.unravel_index(int(np.argmin(off)), off.shape)
@@ -144,6 +152,10 @@ def validate_generator(
                 f"uniformisation rate {rate} does not dominate state {state} "
                 f"(exit rate {exits[state]!r})"
             )
+
+
+def _reject_non_finite(row: int, col: int, value: float) -> None:
+    raise ValidationError(f"generator entry ({row}, {col}) is not finite: {value}")
 
 
 def _check_row_sums(

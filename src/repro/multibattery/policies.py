@@ -2,10 +2,9 @@
 
 A *scheduling policy* decides how the workload's current is routed across
 the batteries of a :class:`~repro.multibattery.system.MultiBatterySystem`.
-Policies are exposed through a string-keyed registry (mirroring
-:mod:`repro.engine.registry`), so sweeps and experiment drivers can name
-them declaratively, and each policy provides exactly the two ingredients
-the product-space construction needs:
+Policies are exposed through a string-keyed registry, so sweeps and
+experiment drivers can name them declaratively, and each policy provides
+exactly the two ingredients the product-space construction needs:
 
 * an optional **phase clock** -- a small auxiliary CTMC whose state is part
   of the product space (round-robin switching is a cyclic phase chain; the

@@ -52,8 +52,7 @@ class MultiBatteryProblem(LifetimeProblem):
     """One system-lifetime question over a bank of batteries.
 
     In addition to the single-battery knobs (inherited -- ``times``,
-    ``delta``, ``epsilon``, ``n_runs``, ``seed``, ``horizon``, ``label``,
-    ``transient_mode``):
+    ``delta``, ``epsilon``, ``n_runs``, ``seed``, ``horizon``, ``label``):
 
     Attributes
     ----------
@@ -80,10 +79,10 @@ class MultiBatteryProblem(LifetimeProblem):
         permutation-symmetry quotient for identical-battery banks), or
         ``"auto"`` (the default; resolved from bank size and symmetry via
         :meth:`~repro.multibattery.system.MultiBatterySystem.resolve_backend`).
-        All backends agree within the solver's ``epsilon``, so -- like
-        ``transient_mode`` -- the backend is *excluded* from
-        :meth:`chain_key` and hence from the sweep-cache fingerprints;
-        cross-check runs between backends need distinct caches.
+        All backends agree within the solver's ``epsilon``, so the backend
+        is *excluded* from :meth:`chain_key` and hence from the sweep-cache
+        fingerprints; cross-check runs between backends need distinct
+        caches.
     """
 
     # The bank widens the inherited scalar fields to optional: the first
@@ -178,33 +177,26 @@ class MultiBatteryProblem(LifetimeProblem):
         step = float(delta) if delta is not None else self.effective_delta
         return self.model().estimated_states(step)
 
-    def resolved_backend(
-        self, delta: float | None = None, *, assembled_limit: int | None = None
-    ) -> str:
+    def resolved_backend(self, delta: float | None = None) -> str:
         """The concrete product-chain backend the MRM solver will use.
 
-        Memoised per ``(step, assembled_limit)``: batch grouping, sweep
-        cost estimation and the ``auto`` dispatch all consult the
-        resolution for the same frozen problem, and rebuilding the model
-        and its per-battery grids each time would be pure waste.
+        Memoised per step: batch grouping, sweep cost estimation and the
+        ``auto`` dispatch all consult the resolution for the same frozen
+        problem, and rebuilding the model and its per-battery grids each
+        time would be pure waste.
         """
         step = float(delta) if delta is not None else self.effective_delta
         cache = self.__dict__.get("_backend_cache")
         if cache is None:
             cache = {}
             object.__setattr__(self, "_backend_cache", cache)
-        key = (step, assembled_limit)
-        resolved = cache.get(key)
+        resolved = cache.get(step)
         if resolved is None:
-            resolved = self.model().resolve_backend(
-                step, self.backend, assembled_limit=assembled_limit
-            )
-            cache[key] = resolved
+            resolved = self.model().resolve_backend(step, self.backend)
+            cache[step] = resolved
         return resolved
 
-    def estimated_backend_states(
-        self, delta: float | None = None, *, assembled_limit: int | None = None
-    ) -> int:
+    def estimated_backend_states(self, delta: float | None = None) -> int:
         """State count of the chain the resolved backend actually iterates on.
 
         The ``auto`` solver dispatch budgets on this rather than on the raw
@@ -214,7 +206,7 @@ class MultiBatteryProblem(LifetimeProblem):
         Monte-Carlo.
         """
         step = float(delta) if delta is not None else self.effective_delta
-        if self.resolved_backend(step, assembled_limit=assembled_limit) == "lumped":
+        if self.resolved_backend(step) == "lumped":
             return self.model().estimated_lumped_states(step)
         return self.estimated_mrm_states(step)
 

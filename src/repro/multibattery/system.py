@@ -257,18 +257,14 @@ class MultiBatterySystem:
         n = self.n_batteries
         return self.workload.n_states * math.comb(n_cells + n - 1, n)
 
-    def resolve_backend(
-        self, delta: float, backend: str = "auto", *, assembled_limit: int | None = None
-    ) -> str:
+    def resolve_backend(self, delta: float, backend: str = "auto") -> str:
         """Resolve ``"auto"`` to a concrete backend from bank size and symmetry.
 
         Identical-battery banks under a symmetric policy are lumped (the
         quotient chain is strictly smaller and exact); other banks are
-        assembled while the product space stays below *assembled_limit*
-        states (default :data:`DEFAULT_ASSEMBLED_STATE_LIMIT`) and solved
-        matrix-free beyond that.  The ``auto`` solver dispatch passes its
-        own MRM budget as *assembled_limit* so the two size thresholds
-        cannot disagree.
+        assembled while the product space stays within
+        :data:`DEFAULT_ASSEMBLED_STATE_LIMIT` states and solved matrix-free
+        beyond that.
         """
         if backend != "auto":
             if backend not in BACKENDS:
@@ -279,8 +275,7 @@ class MultiBatterySystem:
             return backend
         if self.lumpable:
             return "lumped"
-        limit = DEFAULT_ASSEMBLED_STATE_LIMIT if assembled_limit is None else int(assembled_limit)
-        if self.estimated_states(delta) <= limit:
+        if self.estimated_states(delta) <= DEFAULT_ASSEMBLED_STATE_LIMIT:
             return "assembled"
         return "matrix-free"
 

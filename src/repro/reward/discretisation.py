@@ -29,7 +29,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from repro.markov.generator import validate_generator
+from repro.markov.validate import validate_generator
 
 __all__ = ["discretised_reward_distribution"]
 

@@ -38,9 +38,10 @@ from collections.abc import Sequence
 import numpy as np
 from scipy.stats import binom
 
-from repro.markov.generator import uniformized_matrix, validate_generator
+from repro.markov.generator import uniformized_matrix
 from repro.markov.poisson import cached_poisson_weights
 from repro.markov.uniformization import uniformization_rate
+from repro.markov.validate import validate_generator
 
 __all__ = [
     "occupation_time_exceeds",

@@ -32,6 +32,22 @@ from repro.workload.base import WorkloadModel
 
 __all__ = ["LifetimeQuery"]
 
+#: The wire fields that become :class:`LifetimeProblem` knobs, with their
+#: casts; ``null`` (or an absent field) keeps the problem's default.
+_OPTIONAL_FIELDS = (
+    ("delta", float),
+    ("epsilon", float),
+    ("n_runs", int),
+    ("seed", int),
+    ("horizon", float),
+)
+
+#: Every top-level field :meth:`LifetimeQuery.from_mapping` accepts.
+_WIRE_FIELDS = frozenset(
+    ["workload", "battery", "times", "method", "label"]
+    + [name for name, _ in _OPTIONAL_FIELDS]
+)
+
 
 def _times_from_payload(value: Any) -> Any:
     """Accept either an explicit grid or a ``{start, stop, num}`` mapping."""
@@ -50,7 +66,7 @@ class LifetimeQuery:
         The lifetime question itself (workload, battery, time grid and
         tuning knobs) -- the same object every batch entry point uses.
     method:
-        Solver registry key (``"auto"``, ``"analytic"``,
+        Solver name (``"auto"``, ``"analytic"``,
         ``"mrm-uniformization"``, ``"monte-carlo"``); ``"auto"`` resolves
         deterministically per problem before fingerprinting, so an
         ``auto`` query and an explicit query for the same concrete solver
@@ -84,7 +100,8 @@ class LifetimeQuery:
         """Build a query from the plain-JSON wire format.
 
         Expected shape (``delta``/``epsilon``/... optional with the usual
-        :class:`~repro.engine.problem.LifetimeProblem` defaults)::
+        :class:`~repro.engine.problem.LifetimeProblem` defaults; any other
+        top-level field is rejected by name)::
 
             {
               "workload": {"state_names": [...], "generator": [[...]],
@@ -95,6 +112,12 @@ class LifetimeQuery:
               "horizon": null, "method": "auto", "label": "query-1"
             }
         """
+        unknown = sorted(set(payload) - _WIRE_FIELDS)
+        if unknown:
+            raise ValueError(
+                f"unknown query fields {unknown}; expected a subset of "
+                f"{sorted(_WIRE_FIELDS)}"
+            )
         workload_payload = payload["workload"]
         workload = WorkloadModel(
             state_names=tuple(str(name) for name in workload_payload["state_names"]),
@@ -111,16 +134,12 @@ class LifetimeQuery:
             k=float(battery_payload["k"]),
         )
         optional: dict[str, Any] = {}
-        for name, caster in (
-            ("delta", float),
-            ("epsilon", float),
-            ("n_runs", int),
-            ("seed", int),
-            ("horizon", float),
-            ("transient_mode", str),
-        ):
+        for name, caster in _OPTIONAL_FIELDS:
             if payload.get(name) is not None:
-                optional[name] = caster(payload[name])
+                try:
+                    optional[name] = caster(payload[name])
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{name}: {exc}") from None
         # The label rides on the query only, never on the problem: results
         # are shared across requests through the fingerprint-keyed store
         # (labels are fingerprint-exempt), so a problem-level label would

@@ -14,9 +14,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.markov.ctmc import CTMC
-from repro.markov.generator import validate_generator
 from repro.markov.steady_state import steady_state_distribution
+from repro.markov.validate import validate_generator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from collections.abc import Iterable
@@ -70,6 +69,8 @@ class WorkloadModel:
                 f"initial distribution shape {initial.shape} does not match {n} states"
             )
         validate_generator(generator)
+        if not np.all(np.isfinite(currents)):
+            raise ValueError(f"state currents must be finite, got {currents.tolist()}")
         if np.any(currents < 0):
             raise ValueError("state currents must be non-negative")
         if np.any(initial < -1e-12) or not np.isclose(initial.sum(), 1.0, atol=1e-9):
@@ -98,14 +99,6 @@ class WorkloadModel:
         return float(self.currents[self.state_index(name)])
 
     # ------------------------------------------------------------------
-    def to_ctmc(self) -> CTMC:
-        """Return the underlying CTMC (without the reward structure)."""
-        return CTMC(
-            generator=self.generator.copy(),
-            initial_distribution=self.initial_distribution.copy(),
-            state_names=list(self.state_names),
-        )
-
     def steady_state(self) -> FloatArray:
         """Return the stationary distribution of the workload CTMC."""
         return steady_state_distribution(self.generator, validate=False)

@@ -7,7 +7,7 @@ from repro.battery.parameters import KiBaMParameters
 from repro.checking import dense_fallback
 from repro.core.discretization import discretize
 from repro.core.kibamrm import KiBaMRM
-from repro.markov.generator import validate_generator
+from repro.markov.validate import validate_generator
 from repro.workload.onoff import onoff_workload
 from repro.workload.simple import simple_workload
 

@@ -7,7 +7,6 @@ from repro.battery.parameters import KiBaMParameters, rao_battery_parameters
 from repro.battery.profiles import ConstantLoad
 from repro.engine import (
     LifetimeProblem,
-    LifetimeResult,
     ScenarioBatch,
     SolveWorkspace,
     UnknownSolverError,
@@ -18,9 +17,9 @@ from repro.engine import (
     deterministic_lifetime,
     discharge_trajectory,
     get_solver,
-    register_solver,
     solve_lifetime,
 )
+from repro.engine.solvers import MAX_AUTO_MRM_STATES
 from repro.workload.onoff import onoff_workload
 from repro.workload.simple import simple_workload
 
@@ -58,43 +57,6 @@ class TestRegistry:
         with pytest.raises(KeyError):
             get_solver("nope")
 
-    def test_duplicate_registration_rejected(self):
-        class Dummy:
-            name = "analytic"
-
-            def supports(self, problem):
-                return True
-
-            def solve(self, problem, *, workspace=None):
-                raise NotImplementedError
-
-        with pytest.raises(ValueError):
-            register_solver("analytic", Dummy())
-
-    def test_custom_solver_roundtrip(self, single_well_problem):
-        class Constant:
-            name = "test-constant"
-
-            def supports(self, problem):
-                return True
-
-            def solve(self, problem, *, workspace=None):
-                from repro.analysis.distribution import LifetimeDistribution
-
-                return LifetimeResult(
-                    distribution=LifetimeDistribution(
-                        times=problem.times,
-                        probabilities=np.linspace(0.0, 1.0, problem.times.size),
-                        label="constant",
-                    ),
-                    method=self.name,
-                )
-
-        solver = Constant()
-        register_solver(solver.name, solver, replace=True)
-        result = solve_lifetime(single_well_problem, "test-constant")
-        assert result.method == "test-constant"
-
 
 class TestProblemValidation:
     def test_decreasing_times_rejected(self, onoff):
@@ -105,11 +67,23 @@ class TestProblemValidation:
                 times=[2.0, 1.0],
             )
 
-    def test_negative_times_rejected(self, onoff):
-        with pytest.raises(ValueError):
-            LifetimeProblem(
-                workload=onoff, battery=rao_battery_parameters(), times=[-1.0, 1.0]
-            )
+    @pytest.mark.parametrize(
+        ("overrides", "field"),
+        [
+            ({"times": [-1.0, 1.0]}, "times"),
+            ({"times": [np.nan, 1.0]}, "times"),
+            ({"times": [1.0, np.inf]}, "times"),
+            ({"horizon": np.nan}, "horizon"),
+            ({"horizon": np.inf}, "horizon"),
+            ({"epsilon": np.nan}, "epsilon"),
+            ({"epsilon": 1.0}, "epsilon"),
+        ],
+        ids=["negative", "nan-time", "inf-time", "nan-horizon", "inf-horizon", "nan-epsilon", "epsilon-one"],
+    )
+    def test_negative_times_rejected(self, onoff, overrides, field):
+        arguments = {"times": [1.0, 2.0], **overrides}
+        with pytest.raises(ValueError, match=field):
+            LifetimeProblem(workload=onoff, battery=rao_battery_parameters(), **arguments)
 
     def test_delta_larger_than_available_capacity_rejected(self, onoff):
         with pytest.raises(ValueError):
@@ -158,15 +132,22 @@ class TestAutoDispatch:
         assert choose_method(problem) == "mrm-uniformization"
 
     def test_oversized_chain_falls_back_to_monte_carlo(self):
-        problem = LifetimeProblem(
-            workload=simple_workload(),
-            battery=KiBaMParameters(capacity=2880.0, c=1.0, k=0.0),
-            times=[3600.0],
-            delta=36.0,
-        )
-        states = problem.estimated_mrm_states()
-        assert choose_method(problem, max_mrm_states=states) == "mrm-uniformization"
-        assert choose_method(problem, max_mrm_states=states - 1) == "monte-carlo"
+        # Three workload states times the charge levels of the single well:
+        # 3 * 66,667 = 200,001 states at delta = 0.03 As, 3 * 66,666 =
+        # 199,998 at a slightly coarser step.  The estimate is arithmetic,
+        # so neither chain is built.
+        def problem(delta):
+            return LifetimeProblem(
+                workload=simple_workload(),
+                battery=KiBaMParameters(capacity=2000.0, c=1.0, k=0.0),
+                times=[3600.0],
+                delta=delta,
+            )
+
+        below, above = problem(2000.0 / 66_665), problem(0.03)
+        assert below.estimated_mrm_states() <= MAX_AUTO_MRM_STATES < above.estimated_mrm_states()
+        assert choose_method(below) == "mrm-uniformization"
+        assert choose_method(above) == "monte-carlo"
 
     def test_auto_result_records_dispatch(self, single_well_problem):
         result = solve_lifetime(single_well_problem, "auto")

@@ -129,20 +129,6 @@ class TestSegmentLoop:
         assert lazy.performed < full.performed
         np.testing.assert_allclose(lazy.accumulated, full.accumulated, atol=1e-14)
 
-    def test_progress_callback_counts_products(self):
-        matrix = np.eye(2) * 0.5 + 0.25
-        counts = []
-        segment_python(
-            lambda b: b @ matrix,
-            np.ones((1, 2)) / 2.0,
-            np.full(4, 0.25),
-            0,
-            3,
-            0.0,
-            counts.append,
-        )
-        assert counts == [1, 2, 3]
-
 
 # ----------------------------------------------------------------------
 # The kernel computes the same transient law in both modes.
@@ -155,11 +141,9 @@ class TestKernelEquivalence:
         alpha[0] = 1.0
         times = np.array([1.0, 4.0, 16.0])
         propagator = TransientPropagator(generator)
-        incremental = propagator.transient(alpha, times, mode="incremental")
-        single = propagator.transient(alpha, times, mode="single-pass")
-        np.testing.assert_allclose(
-            incremental.distributions, single.distributions, atol=1e-10
-        )
+        incremental = propagator.transient_batch(alpha, times, mode="incremental")
+        single = propagator.transient_batch(alpha, times, mode="single-pass")
+        np.testing.assert_allclose(incremental.values, single.values, atol=1e-10)
 
 
 # ----------------------------------------------------------------------
@@ -170,11 +154,11 @@ class TestMatrixFreeKernels:
         assembled, matrix_free = two_battery_chains()
         alpha = np.asarray(assembled.initial_distribution, dtype=float)
         times = np.array([200.0, 800.0, 2000.0])
-        reference = TransientPropagator(assembled.generator).transient(alpha, times)
+        reference = TransientPropagator(assembled.generator).transient_batch(alpha, times)
         operator_side = TransientPropagator(matrix_free.generator)
         np.testing.assert_allclose(
-            operator_side.transient(alpha, times).distributions,
-            reference.distributions,
+            operator_side.transient_batch(alpha, times).values,
+            reference.values,
             atol=1e-10,
         )
 

@@ -420,12 +420,6 @@ class TestBackendDispatch:
         vast = self._problem(levels=64, policy="round-robin")
         assert vast.estimated_backend_states() > 2_000_000
         assert choose_method(vast) == "monte-carlo"
-        # A lowered MRM budget re-routes mid-size banks through the
-        # matrix-free budget instead of dropping them to Monte-Carlo: the
-        # dispatcher's budget doubles as the assembled-backend threshold.
-        small = self._problem(levels=8, policy="round-robin")
-        assert small.estimated_mrm_states() < 200_000
-        assert choose_method(small, max_mrm_states=1_000) == "mrm-uniformization"
 
     def test_backends_agree_through_the_engine(self):
         workspace = SolveWorkspace()

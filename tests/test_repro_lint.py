@@ -110,7 +110,7 @@ def test_rpr003_accepts_registered_fields() -> None:
         "@dataclass\n"
         "class SweepSpec:\n"
         "    methods: tuple = ('auto',)\n"
-        "    transient_mode: str = 'incremental'\n"
+        "    epsilon: float = 1e-8\n"
     )
     assert lint_source(source, "src/x.py") == []
 

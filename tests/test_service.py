@@ -115,6 +115,16 @@ class TestLifetimeQuery:
         # requester's label to every later cache hit of the fingerprint.
         assert query.problem.label is None
 
+    @pytest.mark.parametrize(
+        ("extra", "field"),
+        [({"transient_mode": "single-pass"}, "transient_mode"), ({"n_runs": float("nan")}, "n_runs")],
+        ids=["unknown-field", "nan-n-runs"],
+    )
+    def test_from_mapping_names_the_bad_field(self, extra, field) -> None:
+        payload = dict(TestServeFronts.QUERY_DOCUMENT, **extra)
+        with pytest.raises(ValueError, match=field):
+            LifetimeQuery.from_mapping(payload)
+
     def test_label_does_not_leak_through_the_store(self) -> None:
         service = LifetimeService()
         labelled = make_query(label="first-requester")
@@ -408,13 +418,17 @@ class TestServeFronts:
         from tools.repro_serve import run_jsonl
 
         service = LifetimeService()
-        lines = [json.dumps(self.QUERY_DOCUMENT)] * 2 + ["{broken"]
+        # Python's json reads NaN, so a NaN time reaches the query builder;
+        # Monte-Carlo would answer it with 1.0 unless it is rejected.
+        nan_time = dict(self.QUERY_DOCUMENT, times=[float("nan"), 60.0], method="monte-carlo")
+        lines = [json.dumps(self.QUERY_DOCUMENT)] * 2 + ["{broken", json.dumps(nan_time)]
         sink = io.StringIO()
         failures = run_jsonl(service, io.StringIO("\n".join(lines) + "\n"), sink)
         documents = [json.loads(line) for line in sink.getvalue().splitlines()]
-        assert failures == 1
-        assert [doc.get("served_from") for doc in documents] == ["solve", "cache", None]
+        assert failures == 2
+        assert [doc.get("served_from") for doc in documents] == ["solve", "cache", None, None]
         assert "error" in documents[2]
+        assert "times must be finite" in documents[3]["error"]
         assert documents[0]["label"] == "wire"
         assert documents[0]["diagnostics"]["served_from"] == "solve"
         assert len(documents[0]["probabilities"]) == 16

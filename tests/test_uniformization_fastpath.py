@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.markov.transient import expm_transient
-from repro.markov.uniformization import TransientPropagator, uniformized_transient
+from repro.markov.uniformization import TransientPropagator
 
 #: A small irreducible generator used throughout this module.
 GENERATOR = np.array(
@@ -45,22 +45,27 @@ class TestIncrementalEquivalence:
         alpha = np.zeros(generator.shape[0])
         alpha[0] = 1.0
         times = [0.0, 0.1, 0.4, 1.3, 2.9, 7.0]
-        result = uniformized_transient(generator, alpha, times, mode="incremental")
+        result = TransientPropagator(generator).transient_batch(
+            alpha, times, mode="incremental"
+        )
         for index, time in enumerate(times):
             exact = expm_transient(generator, alpha, time)
-            assert np.allclose(result.distributions[index], exact, atol=1e-9)
+            assert np.allclose(result.values[0, index], exact, atol=1e-9)
 
     def test_unsorted_duplicate_times_keep_caller_order(self):
         alpha = np.array([1.0, 0.0, 0.0])
         times = [2.5, 0.0, 0.7, 2.5, 0.7]
-        result = uniformized_transient(GENERATOR, alpha, times, mode="incremental")
+        result = TransientPropagator(GENERATOR).transient_batch(
+            alpha, times, mode="incremental"
+        )
+        distributions = result.values[0]
         assert np.array_equal(result.times, np.asarray(times))
         for index, time in enumerate(times):
             exact = expm_transient(GENERATOR, alpha, time)
-            assert np.allclose(result.distributions[index], exact, atol=1e-9)
+            assert np.allclose(distributions[index], exact, atol=1e-9)
         # Duplicate times share one window and produce identical rows.
-        assert np.array_equal(result.distributions[0], result.distributions[3])
-        assert np.array_equal(result.distributions[2], result.distributions[4])
+        assert np.array_equal(distributions[0], distributions[3])
+        assert np.array_equal(distributions[2], distributions[4])
 
     def test_modes_agree_with_projection_vector_and_matrix(self):
         rng = np.random.default_rng(42)
@@ -79,15 +84,17 @@ class TestIncrementalEquivalence:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="transient mode"):
-            uniformized_transient(GENERATOR, [1.0, 0.0, 0.0], [1.0], mode="bogus")
+            TransientPropagator(GENERATOR).transient_batch(
+                [1.0, 0.0, 0.0], [1.0], mode="bogus"
+            )
 
     def test_single_pass_still_skips_projection_before_first_window(self):
         # A late single time point exercises the skip-before-left fast path;
         # the result must be unaffected.
         alpha = np.array([0.0, 1.0, 0.0])
-        late = uniformized_transient(
-            GENERATOR, alpha, [40.0], mode="single-pass"
-        ).distributions[0]
+        late = TransientPropagator(GENERATOR).transient_batch(
+            alpha, [40.0], mode="single-pass"
+        ).values[0, 0]
         exact = expm_transient(GENERATOR, alpha, 40.0)
         assert np.allclose(late, exact, atol=1e-8)
 
@@ -106,11 +113,9 @@ def test_incremental_matches_from_zero_propagation(times, start):
     alpha = np.zeros(3)
     alpha[start] = 1.0
     propagator = TransientPropagator(GENERATOR)
-    incremental = propagator.transient(alpha, times, mode="incremental")
-    from_zero = propagator.transient(alpha, times, mode="single-pass")
-    assert np.allclose(
-        incremental.distributions, from_zero.distributions, atol=1e-9
-    )
+    incremental = propagator.transient_batch(alpha, times, mode="incremental")
+    from_zero = propagator.transient_batch(alpha, times, mode="single-pass")
+    assert np.allclose(incremental.values, from_zero.values, atol=1e-9)
     # Both report the caller's grid verbatim.
     assert np.array_equal(incremental.times, np.asarray(times, dtype=float))
 
@@ -123,8 +128,8 @@ class TestSteadyStateDetection:
         # after a few tens of time units; the grid runs to t = 1600).
         times = np.linspace(0.0, 1600.0, 64)
         propagator = TransientPropagator(ABSORBING)
-        fast = propagator.transient(alpha, times, mode="incremental")
-        baseline = propagator.transient(alpha, times, mode="single-pass")
+        fast = propagator.transient_batch(alpha, times, mode="incremental")
+        baseline = propagator.transient_batch(alpha, times, mode="single-pass")
 
         assert fast.steady_state_time is not None
         assert fast.steady_state_time < times[-1] / 4
@@ -133,39 +138,37 @@ class TestSteadyStateDetection:
         # The detection collapses the vast majority of the products the
         # baseline sweep has to perform.
         assert fast.iterations < baseline.iterations / 3
-        assert np.allclose(fast.distributions, baseline.distributions, atol=1e-8)
+        assert np.allclose(fast.values, baseline.values, atol=1e-8)
         # At the horizon everything is absorbed.
-        assert fast.distributions[-1, -1] == pytest.approx(1.0, abs=1e-8)
+        assert fast.values[0, -1, -1] == pytest.approx(1.0, abs=1e-8)
 
     def test_detection_can_be_disabled(self):
         alpha = np.array([1.0, 0.0, 0.0, 0.0])
         times = np.linspace(0.0, 50.0, 16)
         propagator = TransientPropagator(ABSORBING)
-        undetected = propagator.transient(
+        undetected = propagator.transient_batch(
             alpha, times, mode="incremental", steady_state_tol=0.0
         )
         assert undetected.steady_state_time is None
         assert undetected.iterations_saved == 0
-        detected = propagator.transient(alpha, times, mode="incremental")
-        assert np.allclose(
-            undetected.distributions, detected.distributions, atol=1e-8
-        )
+        detected = propagator.transient_batch(alpha, times, mode="incremental")
+        assert np.allclose(undetected.values, detected.values, atol=1e-8)
 
     def test_fully_absorbing_chain_detects_immediately(self):
         # All rates zero: P = I, so the very first product finds the
         # distribution invariant.
         generator = np.zeros((2, 2))
-        result = uniformized_transient(
-            generator, [0.25, 0.75], [1.0, 10.0, 100.0], mode="incremental"
+        result = TransientPropagator(generator).transient_batch(
+            [0.25, 0.75], [1.0, 10.0, 100.0], mode="incremental"
         )
-        assert np.allclose(result.distributions, [0.25, 0.75])
+        assert np.allclose(result.values, [0.25, 0.75])
         assert result.steady_state_time == 1.0
 
     def test_truncation_error_is_cumulative_and_bounded(self):
         alpha = np.array([1.0, 0.0, 0.0])
         epsilon = 1e-8
-        result = uniformized_transient(
-            GENERATOR, alpha, np.linspace(0.5, 20.0, 40), epsilon=epsilon
+        result = TransientPropagator(GENERATOR).transient_batch(
+            alpha, np.linspace(0.5, 20.0, 40), epsilon=epsilon
         )
         assert np.all(result.truncation_error >= 0.0)
         assert np.all(result.truncation_error <= epsilon)
@@ -175,7 +178,7 @@ class TestSteadyStateDetection:
 class TestEngineThreading:
     """The fast path and its diagnostics flow through the engine layers."""
 
-    def _problem(self, transient_mode="incremental"):
+    def _problem(self):
         from repro.battery.parameters import KiBaMParameters
         from repro.engine import LifetimeProblem
         from repro.workload.onoff import onoff_workload
@@ -185,44 +188,16 @@ class TestEngineThreading:
             battery=KiBaMParameters(capacity=60.0, c=0.625, k=1e-3),
             times=np.linspace(50.0, 2000.0, 40),
             delta=2.0,
-            transient_mode=transient_mode,
         )
 
     def test_solver_reports_fast_path_diagnostics(self):
         from repro.engine import solve_lifetime
 
         result = solve_lifetime(self._problem(), "mrm-uniformization")
-        assert result.diagnostics["transient_mode"] == "incremental"
         assert result.diagnostics["n_segments"] == 40
         assert result.diagnostics["iterations_saved"] >= 0
         assert "steady_state_time" in result.diagnostics
         assert "poisson_shared_cache_hits" in result.diagnostics
-
-    def test_modes_agree_through_the_engine(self):
-        from repro.engine import solve_lifetime
-
-        fast = solve_lifetime(self._problem("incremental"), "mrm-uniformization")
-        slow = solve_lifetime(self._problem("single-pass"), "mrm-uniformization")
-        assert slow.diagnostics["transient_mode"] == "single-pass"
-        assert np.allclose(
-            fast.distribution.probabilities,
-            slow.distribution.probabilities,
-            atol=1e-8,
-        )
-
-    def test_mode_is_excluded_from_sweep_fingerprints(self):
-        from repro.engine.sweep import scenario_fingerprint
-
-        problem = self._problem("incremental")
-        assert scenario_fingerprint(problem, "mrm-uniformization") == (
-            scenario_fingerprint(
-                problem.with_transient_mode("single-pass"), "mrm-uniformization"
-            )
-        )
-
-    def test_invalid_mode_rejected_by_problem(self):
-        with pytest.raises(ValueError, match="transient mode"):
-            self._problem("bogus")
 
 
 if __name__ == "__main__":

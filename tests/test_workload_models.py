@@ -24,12 +24,22 @@ class TestWorkloadModel:
                 initial_distribution=np.array([1.0, 0.0]),
             )
 
-    def test_validation_rejects_negative_currents(self):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize(
+        ("generator", "currents", "message"),
+        [
+            ([[-1.0, 1.0], [1.0, -1.0]], [-0.1, 0.0], "non-negative"),
+            ([[-1.0, 1.0], [1.0, -1.0]], [np.nan, 0.0], "currents must be finite"),
+            ([[-1.0, 1.0], [1.0, -1.0]], [1.0, np.inf], "currents must be finite"),
+            ([[-1.0, 1.0], [np.nan, -1.0]], [1.0, 0.0], r"entry \(1, 0\) is not finite"),
+        ],
+        ids=["negative", "nan-current", "inf-current", "nan-generator"],
+    )
+    def test_validation_rejects_negative_currents(self, generator, currents, message):
+        with pytest.raises(ValueError, match=message):
             WorkloadModel(
                 state_names=("a", "b"),
-                generator=np.array([[-1.0, 1.0], [1.0, -1.0]]),
-                currents=np.array([-0.1, 0.0]),
+                generator=np.array(generator),
+                currents=np.array(currents),
                 initial_distribution=np.array([1.0, 0.0]),
             )
 
@@ -50,11 +60,6 @@ class TestWorkloadModel:
         assert np.allclose(doubled.generator, 2.0 * simple_model.generator)
         with pytest.raises(ValueError):
             simple_model.scaled_time(0.0)
-
-    def test_to_ctmc_roundtrip(self, simple_model):
-        ctmc = simple_model.to_ctmc()
-        assert ctmc.n_states == 3
-        assert np.allclose(ctmc.initial_distribution, simple_model.initial_distribution)
 
 
 class TestBuilder:
