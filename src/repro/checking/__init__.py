@@ -18,10 +18,9 @@ runtime asserts.  This package makes them first-class artifacts:
   dataclass field of :class:`~repro.engine.problem.LifetimeProblem` /
   :class:`~repro.engine.sweep.SweepSpec` subtypes must appear in, as
   either fingerprint-relevant or fingerprint-exempt (lint rule RPR003).
-* :mod:`repro.checking.protocols` -- structural :class:`typing.Protocol`
-  definitions of the plug points (generator operators, uniformisation
-  kernels, scheduler policies, discretised chains) so alternative
-  implementations are checked by shape, not by inheritance.
+* :mod:`repro.checking.protocols` -- the shared array types and the
+  structural :class:`typing.Protocol` of a discretised chain, the one
+  shape the three chain backends share without a common base class.
 
 The matching static passes live in ``tools/repro_lint.py`` (run as
 ``python -m tools.repro_lint src tests benchmarks``) and in the strict
@@ -48,10 +47,7 @@ from repro.checking.protocols import (
     DiscretizedChain,
     FloatArray,
     GeneratorLike,
-    GeneratorOperator,
     IntArray,
-    SchedulerPolicy,
-    UniformizationKernel,
 )
 
 __all__ = [
@@ -64,10 +60,7 @@ __all__ = [
     "FingerprintRegistryError",
     "FloatArray",
     "GeneratorLike",
-    "GeneratorOperator",
     "IntArray",
-    "SchedulerPolicy",
-    "UniformizationKernel",
     "audit_fingerprint_registry",
     "checks_mode",
     "dense_fallback",

@@ -76,31 +76,6 @@ class DiscretizedKiBaMRM:
         """Number of non-zero entries of ``Q*`` (including the diagonal)."""
         return int(self.generator.nnz)
 
-    @property
-    def uniformization_rate(self) -> float:
-        """Maximal exit rate of the expanded chain (before the safety factor)."""
-        return float(np.max(-self.generator.diagonal(), initial=0.0))
-
-    def empty_probability(self, distributions: np.ndarray) -> np.ndarray:
-        """Sum the probability mass of the empty states.
-
-        *distributions* may be a single distribution (1-D) or a stack of
-        distributions (2-D, one row per time point) as returned by the
-        transient solver.
-        """
-        distributions = np.asarray(distributions)
-        if distributions.ndim == 1:
-            return float(distributions[self.empty_states].sum())
-        return distributions[:, self.empty_states].sum(axis=1)
-
-    def workload_state_probability(self, distributions: np.ndarray) -> np.ndarray:
-        """Marginalise the expanded distribution onto the workload states."""
-        distributions = np.atleast_2d(np.asarray(distributions))
-        n = self.model.n_states
-        cells = self.grid.n_cells
-        reshaped = distributions.reshape(distributions.shape[0], n, cells)
-        return reshaped.sum(axis=2)
-
 
 def place_initial_distribution(grid: RewardGrid, workload, available: float, bound: float) -> np.ndarray:
     """Place the workload's initial law at the given charge levels.

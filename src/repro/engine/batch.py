@@ -27,6 +27,11 @@ Poisson windows) is identical, so batched results match independent solves
 to floating-point accuracy.  Chains *with* transfer are never merged across
 capacities, because the transfer cutoff at the top of the smaller grid
 would differ.
+
+The blocked pass is
+:meth:`~repro.engine.solvers.MRMUniformizationSolver.solve_group`; a
+single MRM solve is the same pass on a group of one.  This module only
+forms the groups (:func:`chain_merge_key`) and reports the merge counts.
 """
 
 from __future__ import annotations
@@ -35,27 +40,16 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
-from repro import obs
 from repro.analysis.distribution import LifetimeDistribution
-from repro.core.discretization import DiscretizedKiBaMRM, place_initial_distribution
 from repro.engine.problem import LifetimeProblem
 from repro.engine.result import LifetimeResult
-from repro.engine.solvers import (
-    MRMUniformizationSolver,
-    _backend_and_key,
-    build_mrm_result,
-    choose_method,
-    transient_diagnostics,
-)
+from repro.engine.solvers import MRMUniformizationSolver, choose_method
 from repro.engine.workspace import SolveWorkspace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from collections.abc import Iterable, Iterator, Sequence
 
     from repro.battery.parameters import KiBaMParameters
-    from repro.checking import FloatArray
 
 __all__ = ["BatchResult", "ScenarioBatch", "chain_merge_key"]
 
@@ -226,8 +220,10 @@ class ScenarioBatch:
             for problem in self._problems
         ]
 
-        # Group the MRM scenarios that can share a chain; everything else is
-        # solved individually (still sharing the workspace caches).
+        # Group the MRM scenarios that can share a chain.  Groups of two or
+        # more are solved first, one blocked pass each; everything else --
+        # a lone MRM scenario is a group of one -- follows in scenario
+        # order, still sharing the workspace caches.
         mrm_name = MRMUniformizationSolver.name
         groups: dict[tuple[Any, ...], list[int]] = {}
         for index, (problem, concrete) in enumerate(zip(self._problems, methods)):
@@ -237,13 +233,14 @@ class ScenarioBatch:
 
         merged_groups = 0
         stacked_scenarios = 0
-        for key, indices in groups.items():
+        solver = MRMUniformizationSolver()
+        for indices in groups.values():
             if len(indices) < 2:
                 continue
             merged_groups += 1
             stacked_scenarios += len(indices)
             group = [self._problems[i] for i in indices]
-            for i, result in zip(indices, self._solve_mrm_group(group, ws)):
+            for i, result in zip(indices, solver.solve_group(group, ws)):
                 results[i] = result
 
         for index, (problem, concrete) in enumerate(zip(self._problems, methods)):
@@ -259,84 +256,3 @@ class ScenarioBatch:
             **ws.diagnostics(),
         }
         return BatchResult(results=tuple(results), diagnostics=diagnostics)
-
-    # ------------------------------------------------------------------
-    def _solve_mrm_group(
-        self, group: list[LifetimeProblem], ws: SolveWorkspace
-    ) -> list[LifetimeResult]:
-        """Solve a chain-sharing group of MRM scenarios in one blocked pass."""
-        started = time.perf_counter()
-        # The chain is built for the scenario with the largest capacity;
-        # every other scenario is the same chain started at a lower level.
-        anchor = max(group, key=lambda problem: problem.battery.capacity)
-        delta = anchor.effective_delta
-        backend, key = _backend_and_key(anchor, delta)
-        chain = ws.discretized(anchor.model(), delta, key, backend=backend)
-        propagator = ws.propagator(chain, key)
-
-        # Scenarios with the same battery reduce to the same initial vector
-        # (they differ only in time grid / label); deduplicate the rows so
-        # the blocked pass propagates each distinct start exactly once.
-        vectors = [self._initial_vector(chain, problem) for problem in group]
-        unique_rows: dict[bytes, int] = {}
-        row_of: list[int] = []
-        stack: list[FloatArray] = []
-        for vector in vectors:
-            fingerprint = vector.tobytes()
-            row = unique_rows.get(fingerprint)
-            if row is None:
-                row = len(stack)
-                unique_rows[fingerprint] = row
-                stack.append(vector)
-            row_of.append(row)
-
-        merged_times = np.unique(np.concatenate([problem.times for problem in group]))
-        with obs.span("batch_solve", size=len(group), rows=len(stack)):
-            transient = propagator.transient_batch(
-                np.stack(stack),
-                merged_times,
-                epsilon=float(group[0].epsilon),
-                projection=ws.empty_projection(chain, key),
-            )
-        # Steady-state notes key on the physical chain (the flattening time
-        # is backend-independent), not on the workspace build key.
-        ws.note_steady_state(anchor.chain_key(), transient.steady_state_time)
-        elapsed = time.perf_counter() - started
-        if transient.steady_state_time is not None:
-            obs.count("steady_state_detections")
-        obs.observe("solve_seconds.mrm_batch", elapsed)
-
-        results = []
-        for index, problem in enumerate(group):
-            columns = np.searchsorted(merged_times, problem.times)
-            results.append(
-                build_mrm_result(
-                    problem,
-                    chain,
-                    transient.values[row_of[index], columns],
-                    rate=transient.rate,
-                    iterations=transient.iterations,
-                    extra_diagnostics={
-                        **transient_diagnostics(transient),
-                        **({} if backend is None else {"backend": backend}),
-                        "batched": True,
-                        "batch_size": len(group),
-                        "batch_rows": len(stack),
-                        "wall_seconds": elapsed,
-                    },
-                )
-            )
-        return results
-
-    @staticmethod
-    def _initial_vector(
-        chain: DiscretizedKiBaMRM, problem: LifetimeProblem
-    ) -> FloatArray:
-        """Place the workload's initial law at the scenario's charge levels."""
-        if problem.is_multibattery:
-            # Bank scenarios only merge on identical chain keys, so every
-            # group member starts from the chain's own initial vector (the
-            # full-charge product cell).
-            return np.asarray(chain.initial_distribution, dtype=float)
-        available0, bound0 = problem.model().initial_rewards
-        return place_initial_distribution(chain.grid, problem.workload, available0, bound0)

@@ -18,14 +18,16 @@ package.
 The schema doubles as the *map* of who writes what.  Keys are grouped,
 in order, by producing layer:
 
-* **shared MRM solve telemetry** -- ``build_mrm_result``
-  (:mod:`repro.engine.result`) stamps these on every uniformisation
-  solve;
-* **transient fast-path telemetry** -- ``transient_diagnostics``
-  (:mod:`repro.markov.uniformization`) via the MRM solvers;
+* **shared MRM solve telemetry** and **transient fast-path telemetry**
+  -- ``MRMUniformizationSolver.solve_group``
+  (:mod:`repro.engine.solvers`) stamps these on every uniformisation
+  solve, the latter read off its
+  :class:`~repro.markov.uniformization.BatchTransientResult`;
 * **analytic / Monte-Carlo / auto** -- the respective solvers of
   :mod:`repro.engine.solvers`;
-* **scenario batching** -- :mod:`repro.engine.batch` group solves;
+* **scenario batching** -- ``solve_group`` on groups of two or more
+  (``batched``, ``batch_size``, ``batch_rows``) and
+  :meth:`~repro.engine.batch.ScenarioBatch.run` (the batch counts);
 * **workspace reuse** -- :class:`~repro.engine.workspace.SolveWorkspace`
   chain/Poisson cache accounting;
 * **sweep driver** -- :func:`~repro.engine.sweep.run_sweep` aggregates;
@@ -44,7 +46,7 @@ __all__ = ["DIAGNOSTIC_KEYS", "DIAGNOSTICS_SCHEMA", "validate_diagnostics"]
 
 #: Key -> one-line meaning.  Grouped by the layer that writes them.
 DIAGNOSTICS_SCHEMA = {
-    # -- shared MRM solve telemetry (build_mrm_result) ------------------
+    # -- shared MRM solve telemetry (solve_group) -----------------------
     "delta": "discretisation step (ampere-seconds per charge level)",
     "n_states": "number of states of the solved chain",
     "n_nonzero": "structural non-zeros of the generator",
@@ -55,7 +57,7 @@ DIAGNOSTICS_SCHEMA = {
     "cdf_complete": "whether the grid captured the whole CDF",
     "wall_seconds": "wall-clock seconds of the producing call",
     "backend": "chain backend that solved (assembled/matrix-free/lumped)",
-    # -- transient fast-path telemetry (transient_diagnostics) ----------
+    # -- transient fast-path telemetry (solve_group) --------------------
     "n_segments": "Poisson-window segments of the incremental chain",
     "iterations_saved": "products avoided by steady-state detection",
     "steady_state_time": "detected steady-state time (None if not reached)",
@@ -74,7 +76,7 @@ DIAGNOSTICS_SCHEMA = {
     "n_runs": "number of simulated replications",
     "seed": "base seed of the replication RNG tree",
     "horizon": "simulation horizon in seconds",
-    "mean_lifetime_seconds": "sample-mean lifetime of the replications",
+    "mean_lifetime_seconds": "sample-mean lifetime of the replications (None if all censored)",
     "censored_runs": "replications still alive at the horizon",
     "horizon_capped_by_steady_state": "whether a steady-state hint capped the horizon",
     "steady_state_horizon_hint": "workspace steady-state time used for the cap",

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
 from repro.analysis.distribution import LifetimeDistribution
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

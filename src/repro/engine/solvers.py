@@ -11,7 +11,9 @@ Three interchangeable machineries answer the same
 * ``mrm-uniformization`` -- the paper's Markovian approximation: the
   KiBaMRM is discretised into a large sparse CTMC whose transient solution
   (via uniformisation) yields the probability of the absorbing
-  "battery empty" states.
+  "battery empty" states.  One blocked pass answers every problem of a
+  chain-sharing group (:meth:`MRMUniformizationSolver.solve_group`); a
+  single solve is a group of one.
 * ``monte-carlo`` -- trajectory simulation of the workload CTMC with the
   analytic KiBaM integrated along every sampled path.
 
@@ -30,10 +32,12 @@ import numpy as np
 from repro import obs
 from repro.analysis.distribution import LifetimeDistribution
 from repro.battery.kibam import KineticBatteryModel
+from repro.core.discretization import place_initial_distribution
 from repro.engine.base import UnsupportedProblemError
 from repro.engine.problem import LifetimeProblem
 from repro.engine.result import LifetimeResult
 from repro.engine.workspace import SolveWorkspace
+from repro.markov.poisson import poisson_cache_diagnostics
 from repro.reward.occupation import two_level_lifetime_cdf
 from repro.simulation.battery_sim import default_horizon
 from repro.simulation.lifetime_sim import (
@@ -43,18 +47,18 @@ from repro.simulation.lifetime_sim import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.checking.protocols import DiscretizedChain
-    from repro.markov.uniformization import BatchTransientResult
+    from collections.abc import Sequence
+
+    from repro.checking.protocols import FloatArray
+    from repro.core.discretization import DiscretizedKiBaMRM
 
 __all__ = [
     "AnalyticSolver",
     "AutoSolver",
     "MonteCarloSolver",
     "MRMUniformizationSolver",
-    "build_mrm_result",
     "cdf_mass_diagnostics",
     "choose_method",
-    "transient_diagnostics",
 ]
 
 #: Largest expanded-chain size the ``auto`` dispatcher hands to the
@@ -68,25 +72,6 @@ MAX_AUTO_MRM_STATES = 200_000
 MAX_AUTO_MATRIXFREE_STATES = 2_000_000
 
 
-def _backend_and_key(
-    problem: LifetimeProblem, delta: float
-) -> tuple[str | None, tuple[Any, ...]]:
-    """Resolve the multi-battery backend and the workspace build key.
-
-    Single-battery problems have one chain realisation; bank problems key
-    the workspace's chain/propagator caches on ``(chain_key, backend)``,
-    because the three backends build different objects (CSR, operator,
-    quotient chain) for the same physical chain.  Steady-state notes keep
-    using the bare ``chain_key``: the detected flattening time is a
-    property of the lifetime law, not of the realisation.
-    """
-    key = problem.chain_key()
-    if not problem.is_multibattery:
-        return None, key
-    backend = problem.resolved_backend(delta)
-    return backend, key + (("backend", backend),)
-
-
 def cdf_mass_diagnostics(distribution: LifetimeDistribution) -> dict[str, Any]:
     """Diagnostics entries describing how much of the CDF the grid captured.
 
@@ -98,65 +83,6 @@ def cdf_mass_diagnostics(distribution: LifetimeDistribution) -> dict[str, Any]:
         "cdf_mass_achieved": distribution.final_mass,
         "cdf_complete": distribution.is_complete(),
     }
-
-
-def transient_diagnostics(transient: BatchTransientResult) -> dict[str, Any]:
-    """Diagnostics entries describing one uniformisation transient solve.
-
-    Shared by the individual MRM solver and the batched scenario runner so
-    both report the fast-path telemetry (segment count, steady-state
-    detection point and the products it saved) under the same keys,
-    together with the process-global Poisson weight-cache counters.
-    """
-    from repro.markov.poisson import poisson_cache_diagnostics
-
-    return {
-        "n_segments": transient.n_segments,
-        "iterations_saved": transient.iterations_saved,
-        "steady_state_time": transient.steady_state_time,
-        "steady_state_iteration": transient.steady_state_iteration,
-        **poisson_cache_diagnostics(),
-    }
-
-
-def build_mrm_result(
-    problem: LifetimeProblem,
-    chain: DiscretizedChain,
-    probabilities: FloatArray,
-    *,
-    rate: float,
-    iterations: int,
-    extra_diagnostics: dict[str, Any] | None = None,
-) -> LifetimeResult:
-    """Package one MRM solution as a :class:`LifetimeResult`.
-
-    Shared by the individual solver and the batched scenario runner so the
-    two paths report identical metadata and diagnostics.
-    """
-    delta = problem.effective_delta
-    shared = {
-        "delta": delta,
-        "n_states": chain.n_states,
-        "n_nonzero": chain.n_nonzero,
-        "uniformization_rate": rate,
-        "iterations": iterations,
-        "epsilon": float(problem.epsilon),
-    }
-    distribution = LifetimeDistribution(
-        times=problem.times,
-        probabilities=np.clip(np.asarray(probabilities, dtype=float), 0.0, 1.0),
-        label=problem.label or f"approximation (delta={delta:g})",
-        metadata={"method": MRMUniformizationSolver.name, **shared},
-    )
-    return LifetimeResult(
-        distribution=distribution,
-        method=MRMUniformizationSolver.name,
-        diagnostics={
-            **shared,
-            **cdf_mass_diagnostics(distribution),
-            **(extra_diagnostics or {}),
-        },
-    )
 
 
 class AnalyticSolver:
@@ -222,8 +148,24 @@ class AnalyticSolver:
         )
 
 
+def _initial_vector(chain: DiscretizedKiBaMRM, problem: LifetimeProblem) -> FloatArray:
+    """Place the problem's initial law at its own charge levels on *chain*."""
+    if problem.is_multibattery:
+        # Bank problems only share a chain with identical keys, so every
+        # one starts from the chain's own initial vector (the full-charge
+        # product cell).
+        return np.asarray(chain.initial_distribution, dtype=float)
+    available0, bound0 = problem.model().initial_rewards
+    return place_initial_distribution(chain.grid, problem.workload, available0, bound0)
+
+
 class MRMUniformizationSolver:
-    """The paper's Markovian approximation on the expanded sparse CTMC."""
+    """The paper's Markovian approximation on the expanded sparse CTMC.
+
+    :meth:`solve_group` answers problems that share one expanded chain
+    (equal :func:`~repro.engine.batch.chain_merge_key`) in one blocked
+    uniformisation pass; :meth:`solve` is that pass on a group of one.
+    """
 
     name = "mrm-uniformization"
 
@@ -233,40 +175,101 @@ class MRMUniformizationSolver:
     def solve(
         self, problem: LifetimeProblem, *, workspace: SolveWorkspace | None = None
     ) -> LifetimeResult:
-        started = obs.now()
         ws = workspace if workspace is not None else SolveWorkspace()
-        delta = problem.effective_delta
-        backend, build_key = _backend_and_key(problem, delta)
-        with obs.span("solve", method=self.name, label=problem.label or ""):
-            chain = ws.discretized(problem.model(), delta, build_key, backend=backend)
-            propagator = ws.propagator(chain, build_key)
+        return self.solve_group([problem], ws)[0]
 
+    def solve_group(
+        self, group: Sequence[LifetimeProblem], workspace: SolveWorkspace
+    ) -> list[LifetimeResult]:
+        """Solve a chain-sharing group of problems in one blocked pass.
+
+        The chain is built for the problem with the largest capacity; every
+        other problem is the same chain started at a lower charge level
+        (see :mod:`repro.engine.batch`).  Bank problems key the workspace's
+        chain and propagator caches on ``(chain_key, backend)``, because
+        the backends build different objects (CSR, operator, quotient
+        chain) for the same physical chain; steady-state notes key on the
+        bare ``chain_key``, because the detected flattening time is a
+        property of the lifetime law, not of the realisation.
+        """
+        started = obs.now()
+        anchor = max(group, key=lambda problem: problem.battery.capacity)
+        delta = anchor.effective_delta
+        key = anchor.chain_key()
+        backend = None
+        if anchor.is_multibattery:
+            backend = anchor.resolved_backend(delta)
+            key += (("backend", backend),)
+        with obs.span("solve", method=self.name, label=anchor.label or "", size=len(group)):
+            chain = workspace.discretized(anchor.model(), delta, key, backend=backend)
+            propagator = workspace.propagator(chain, key)
+            # Problems with the same battery start from the same vector (they
+            # differ only in time grid or label): propagate each distinct
+            # start once.
+            rows: dict[bytes, int] = {}
+            stack: list[FloatArray] = []
+            row_of: list[int] = []
+            for problem in group:
+                vector = _initial_vector(chain, problem)
+                row = rows.setdefault(vector.tobytes(), len(stack))
+                if row == len(stack):
+                    stack.append(vector)
+                row_of.append(row)
+            times = np.unique(np.concatenate([problem.times for problem in group]))
             with obs.span("transient"):
                 transient = propagator.transient_batch(
-                    chain.initial_distribution[None, :],
-                    problem.times,
-                    epsilon=problem.epsilon,
-                    projection=ws.empty_projection(chain, build_key),
+                    np.stack(stack),
+                    times,
+                    epsilon=float(anchor.epsilon),
+                    projection=workspace.empty_projection(chain, key),
                 )
-        ws.note_steady_state(problem.chain_key(), transient.steady_state_time)
+        workspace.note_steady_state(anchor.chain_key(), transient.steady_state_time)
         elapsed = obs.now() - started
-        obs.count("solves." + self.name)
+        obs.count("solves." + self.name, len(group))
         if transient.steady_state_time is not None:
             obs.count("steady_state_detections")
         obs.observe("solve_seconds." + self.name, elapsed)
-        extra = {} if backend is None else {"backend": backend}
-        return build_mrm_result(
-            problem,
-            chain,
-            transient.values[0],
-            rate=transient.rate,
-            iterations=transient.iterations,
-            extra_diagnostics={
-                **transient_diagnostics(transient),
-                **extra,
-                "wall_seconds": elapsed,
-            },
-        )
+
+        shared = {
+            "delta": delta,
+            "n_states": chain.n_states,
+            "n_nonzero": chain.n_nonzero,
+            "uniformization_rate": transient.rate,
+            "iterations": transient.iterations,
+            "epsilon": float(anchor.epsilon),
+        }
+        telemetry = {
+            "n_segments": transient.n_segments,
+            "iterations_saved": transient.iterations_saved,
+            "steady_state_time": transient.steady_state_time,
+            "steady_state_iteration": transient.steady_state_iteration,
+            **poisson_cache_diagnostics(),
+            **({} if backend is None else {"backend": backend}),
+            **(
+                {}
+                if len(group) == 1
+                else {"batched": True, "batch_size": len(group), "batch_rows": len(stack)}
+            ),
+            "wall_seconds": elapsed,
+        }
+        results = []
+        for problem, row in zip(group, row_of):
+            distribution = LifetimeDistribution(
+                times=problem.times,
+                probabilities=np.clip(
+                    transient.values[row, np.searchsorted(times, problem.times)], 0.0, 1.0
+                ),
+                label=problem.label or f"approximation (delta={delta:g})",
+                metadata={"method": self.name, **shared},
+            )
+            results.append(
+                LifetimeResult(
+                    distribution=distribution,
+                    method=self.name,
+                    diagnostics={**shared, **cdf_mass_diagnostics(distribution), **telemetry},
+                )
+            )
+        return results
 
 
 #: Safety factor applied on top of a detected steady-state time before it
@@ -347,6 +350,7 @@ class MonteCarloSolver:
                 )
             probabilities = np.asarray(simulation.cdf(problem.times), dtype=float)
         elapsed = obs.now() - started
+        censored = int(np.isinf(simulation.samples).sum())
         obs.count("solves." + self.name)
         obs.observe("solve_seconds." + self.name, elapsed)
 
@@ -368,8 +372,11 @@ class MonteCarloSolver:
                 "n_runs": problem.n_runs,
                 "seed": problem.seed,
                 "horizon": simulation.horizon,
-                "mean_lifetime_seconds": simulation.mean_lifetime,
-                "censored_runs": int(np.isinf(simulation.samples).sum()),
+                # No run died before the horizon: there is no sample mean.
+                "mean_lifetime_seconds": (
+                    None if censored == simulation.n_runs else simulation.mean_lifetime
+                ),
+                "censored_runs": censored,
                 "wall_seconds": elapsed,
                 **horizon_diagnostics,
                 **cdf_mass_diagnostics(distribution),

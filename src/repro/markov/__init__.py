@@ -24,7 +24,6 @@ all of that work happens here.
 from repro.markov.generator import (
     as_csr,
     exit_rates,
-    kron_chain,
     uniformized_matrix,
 )
 from repro.markov.kronecker import (
@@ -70,7 +69,6 @@ __all__ = [
     "check_generator",
     "exit_rates",
     "fox_glynn",
-    "kron_chain",
     "poisson_weights",
     "steady_state_distribution",
     "uniformization_rate",

@@ -11,7 +11,6 @@ states.  The Q-matrix check itself is
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -26,7 +25,6 @@ __all__ = [
     "GeneratorError",
     "as_csr",
     "exit_rates",
-    "kron_chain",
     "uniformized_matrix",
 ]
 
@@ -54,26 +52,6 @@ def as_csr(matrix: GeneratorLike) -> sp.csr_matrix:
     if _is_sparse(matrix):
         return matrix.tocsr()
     return sp.csr_matrix(np.asarray(matrix, dtype=float))
-
-
-def kron_chain(factors: Iterable[GeneratorLike]) -> sp.csr_matrix:
-    """Return the Kronecker product of *factors*, reduced left to right, as CSR.
-
-    The factors may be dense arrays or scipy sparse matrices; everything is
-    pushed through :func:`as_csr` first so the product stays sparse
-    end-to-end.  This is the assembly primitive of the multi-battery
-    product-space construction, where a local transition matrix of one
-    factor (workload, phase clock, or a single battery's charge grid) is
-    lifted to the product space by Kronecker-multiplying it with identities
-    on every other factor.
-    """
-    matrices = [as_csr(factor) for factor in factors]
-    if not matrices:
-        raise GeneratorError("kron_chain needs at least one factor")
-    product = matrices[0]
-    for factor in matrices[1:]:
-        product = sp.kron(product, factor, format="csr")
-    return product.tocsr()
 
 
 def exit_rates(generator: GeneratorLike) -> FloatArray:

@@ -530,10 +530,10 @@ class KroneckerGenerator:
             raise GeneratorError("matrix-free generator has a positive diagonal entry")
 
     def to_csr(self, *, max_bytes: int | None = None) -> sp.csr_matrix:
-        """Assemble the represented generator as CSR (for tests and small chains).
+        """Assemble the represented generator as CSR.
 
-        Refuses when the estimated assembled size exceeds *max_bytes* --
-        the whole point of the operator is not to build this matrix.
+        The ``"assembled"`` multi-battery backend is this matrix.  Refuses
+        when the estimated assembled size exceeds *max_bytes*.
         """
         if max_bytes is not None and assembled_csr_bytes(self.nnz, self._n) > max_bytes:
             raise MemoryError(

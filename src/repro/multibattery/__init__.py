@@ -8,7 +8,7 @@ depends on how the load is scheduled across them:
   per-battery charge grids into one product-space CTMC via sparse
   Kronecker assembly, with a configurable k-of-N depletion predicate
   defining the absorbing "system failed" states;
-* :mod:`~repro.multibattery.policies` is a string-keyed registry of
+* :mod:`~repro.multibattery.policies` is a fixed string-keyed table of
   scheduler policies (``static-split``, ``round-robin``, ``best-of``)
   that shape the product generator's load-routing rates;
 * :class:`~repro.multibattery.problem.MultiBatteryProblem` lowers a
@@ -48,7 +48,6 @@ from repro.multibattery.policies import (
     StaticSplitPolicy,
     available_policies,
     get_policy,
-    register_policy,
 )
 from repro.multibattery.problem import DEFAULT_MULTI_LEVELS, MultiBatteryProblem
 from repro.multibattery.system import (
@@ -72,5 +71,4 @@ __all__ = [
     "StaticSplitPolicy",
     "available_policies",
     "get_policy",
-    "register_policy",
 ]

@@ -261,8 +261,7 @@ class LumpedMultiBatterySystem:
     Exposes the engine-facing surface of
     :class:`~repro.multibattery.system.DiscretizedMultiBatterySystem`
     (``generator``, ``initial_distribution``, ``empty_states``,
-    ``n_states``, ``n_nonzero``, ``uniformization_rate``,
-    ``empty_probability``) over the quotient state space
+    ``n_states``, ``n_nonzero``) over the quotient state space
     ``workload x sorted-charge-multisets``.
     """
 
@@ -296,17 +295,3 @@ class LumpedMultiBatterySystem:
         """Full-product-space states per quotient state (the reduction factor)."""
         full_cells = float(self.grid.n_cells) ** self.configurations.shape[1]
         return full_cells / float(self.n_configurations)
-
-    @property
-    def uniformization_rate(self) -> float:
-        """Maximal exit rate (identical to the unlumped chain's, by exactness)."""
-        return float(np.max(-self.generator.diagonal(), initial=0.0))
-
-    def empty_probability(
-        self, distributions: npt.ArrayLike
-    ) -> FloatArray | float:
-        """Sum the probability mass of the system-failed states."""
-        distributions = np.asarray(distributions)
-        if distributions.ndim == 1:
-            return float(distributions[self.empty_states].sum())
-        return distributions[:, self.empty_states].sum(axis=1)

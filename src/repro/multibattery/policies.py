@@ -2,9 +2,9 @@
 
 A *scheduling policy* decides how the workload's current is routed across
 the batteries of a :class:`~repro.multibattery.system.MultiBatterySystem`.
-Policies are exposed through a string-keyed registry, so sweeps and
-experiment drivers can name them declaratively, and each policy provides
-exactly the two ingredients the product-space construction needs:
+Policies are looked up by name in a fixed table (:func:`get_policy`), so
+sweeps and experiment drivers can name them declaratively, and each policy
+provides exactly the two ingredients the product-space construction needs:
 
 * an optional **phase clock** -- a small auxiliary CTMC whose state is part
   of the product space (round-robin switching is a cyclic phase chain; the
@@ -43,7 +43,6 @@ __all__ = [
     "StaticSplitPolicy",
     "available_policies",
     "get_policy",
-    "register_policy",
 ]
 
 #: Default phase-clock rate (1/s) of the round-robin policy.
@@ -53,7 +52,7 @@ DEFAULT_SWITCH_RATE = 0.1
 class SchedulingPolicy:
     """Base class of the scheduler policies.
 
-    Subclasses must set a class-level ``name`` (the registry key) and
+    Subclasses must set a class-level ``name`` (the policy-table key) and
     implement :meth:`routing_weights`; policies with a phase clock override
     :meth:`n_phases` and :meth:`phase_generator` as well.
     """
@@ -288,47 +287,33 @@ class BestOfPolicy(SchedulingPolicy):
 
 
 # ----------------------------------------------------------------------
-_REGISTRY: dict[str, type[SchedulingPolicy]] = {}
-
-
-def register_policy(policy_class: type[SchedulingPolicy], *, replace: bool = False) -> None:
-    """Register a policy class under its ``name``.
-
-    Re-registering an existing name requires ``replace=True`` so that typos
-    cannot silently shadow a built-in policy.
-    """
-    name = policy_class.name
-    if not name:
-        raise ValueError("a scheduling policy needs a non-empty name")
-    if not replace and name in _REGISTRY and _REGISTRY[name] is not policy_class:
-        raise ValueError(f"a policy named {name!r} is already registered")
-    _REGISTRY[name] = policy_class
+#: The scheduling policies, by name.
+_POLICIES: dict[str, type[SchedulingPolicy]] = {
+    policy_class.name: policy_class
+    for policy_class in (StaticSplitPolicy, RoundRobinPolicy, BestOfPolicy)
+}
 
 
 def get_policy(policy: SchedulingPolicy | str, **params: Any) -> SchedulingPolicy:
     """Resolve *policy* to a :class:`SchedulingPolicy` instance.
 
     Instances pass through unchanged (then *params* must be empty); string
-    keys are looked up in the registry and instantiated with *params*.
+    keys are looked up in the policy table and instantiated with *params*.
     """
     if isinstance(policy, SchedulingPolicy):
         if params:
             raise ValueError("parameters are only accepted with a policy name")
         return policy
     try:
-        policy_class = _REGISTRY[policy]
+        policy_class = _POLICIES[policy]
     except KeyError:
         raise KeyError(
             f"unknown scheduling policy {policy!r}; available: "
-            f"{', '.join(sorted(_REGISTRY))}"
+            f"{', '.join(sorted(_POLICIES))}"
         ) from None
     return policy_class(**params)
 
 
 def available_policies() -> list[str]:
-    """Return the names of all registered scheduling policies."""
-    return sorted(_REGISTRY)
-
-
-for _policy_class in (StaticSplitPolicy, RoundRobinPolicy, BestOfPolicy):
-    register_policy(_policy_class)
+    """Return the names of the scheduling policies."""
+    return sorted(_POLICIES)

@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
 from repro.battery.parameters import KiBaMParameters
 from repro.engine.problem import LifetimeProblem
 from repro.multibattery.policies import SchedulingPolicy, get_policy

@@ -27,13 +27,14 @@ Three interchangeable **backends** realise that structure
 (:meth:`MultiBatterySystem.discretize` selects one; every backend yields
 the same lifetime CDF within floating-point accuracy):
 
-* ``"assembled"`` -- sparse Kronecker products merged into one CSR matrix
-  (:func:`repro.markov.kron_chain`), the PR 4 construction; memory and
-  assembly time grow with the product-space size.
 * ``"matrix-free"`` -- a
   :class:`~repro.markov.kronecker.KroneckerGenerator` operator that
   applies ``v @ Q`` factor-wise and never materialises the product CSR,
   unlocking banks whose assembled generator would not fit in memory.
+* ``"assembled"`` -- the same operator assembled into one CSR matrix
+  (:meth:`~repro.markov.kronecker.KroneckerGenerator.to_csr`); memory and
+  assembly time grow with the product-space size, and each ``v @ P``
+  product is one sparse matrix product.
 * ``"lumped"`` -- for banks of *identical* batteries under a
   permutation-symmetric policy, the exact quotient chain over sorted
   charge multisets (:mod:`repro.multibattery.lumping`), shrinking the
@@ -60,7 +61,6 @@ import scipy.sparse as sp
 from repro.battery.parameters import KiBaMParameters
 from repro.core.discretization import _transfer_rates
 from repro.core.grid import RewardGrid
-from repro.markov.generator import kron_chain
 from repro.markov.kronecker import KroneckerGenerator, KroneckerTerm
 from repro.markov.validate import check_chain
 from repro.multibattery.policies import SchedulingPolicy, get_policy
@@ -139,16 +139,11 @@ def _off_diagonal(generator: FloatArray) -> FloatArray:
 
 @dataclass(frozen=True)
 class _ProductMetadata:
-    """Shared per-discretisation data of the assembled and matrix-free paths."""
+    """Per-discretisation data of the product chain's Kronecker terms."""
 
     grids: tuple[RewardGrid, ...]
     cells: tuple[int, ...]
-    strides: IntArray
     n_aux: int
-    n_cells: int
-    n_states: int
-    levels: IntArray
-    alive: npt.NDArray[np.bool_]
     failed_cells: npt.NDArray[np.bool_]
     weights: FloatArray
     currents_aux: FloatArray
@@ -281,7 +276,7 @@ class MultiBatterySystem:
 
     # ------------------------------------------------------------------
     def _product_metadata(self, delta: float) -> _ProductMetadata:
-        """Everything both product-space backends share for step *delta*."""
+        """Everything the product chain's terms and vectors need for step *delta*."""
         workload = self.workload
         n_batteries = self.n_batteries
         grids = tuple(_battery_grid(battery, delta) for battery in self.batteries)
@@ -337,12 +332,7 @@ class MultiBatterySystem:
         return _ProductMetadata(
             grids=grids,
             cells=cells,
-            strides=strides,
             n_aux=n_aux,
-            n_cells=n_cells,
-            n_states=n_states,
-            levels=levels,
-            alive=alive,
             failed_cells=failed_cells,
             weights=weights,
             currents_aux=currents_aux,
@@ -382,86 +372,36 @@ class MultiBatterySystem:
 
             return discretize_lumped(self, delta)
         metadata = self._product_metadata(delta)
-        if backend == "matrix-free":
-            generator = self._matrix_free_generator(metadata, delta)
-        else:
-            generator = self._assembled_generator(metadata, delta)
+        operator = self._kronecker_generator(metadata, delta)
+        generator = operator.to_csr() if backend == "assembled" else operator
         chain = DiscretizedMultiBatterySystem(
             system=self,
             grids=metadata.grids,
             generator=generator,
             initial_distribution=metadata.initial_distribution,
             empty_states=metadata.empty_states,
-            levels=metadata.levels,
             failed_cells=metadata.failed_cells,
             backend=backend,
         )
         check_chain(chain)
         return chain
 
-    def _assembled_generator(
-        self, metadata: _ProductMetadata, delta: float
-    ) -> sp.csr_matrix:
-        """Merge the Kronecker structure into one CSR generator."""
-        workload = self.workload
-        grids = metadata.grids
-        identities = [sp.identity(size, format="csr") for size in metadata.cells]
-        n_phases = self.n_phases
-
-        # 1. Workload and phase transitions: local to the aux factors.
-        off_diagonal = kron_chain([self._aux_off_diagonal()] + identities)
-
-        # 2. Transfer transitions: local to one battery's grid factor.
-        identity_aux = sp.identity(metadata.n_aux, format="csr")
-        for b, (grid, battery) in enumerate(zip(grids, self.batteries)):
-            transfer = _transfer_matrix(grid, battery)
-            if transfer.nnz == 0:
-                continue
-            factors = [identity_aux] + identities[:b] + [transfer] + identities[b + 1 :]
-            off_diagonal = off_diagonal + kron_chain(factors)
-
-        # 3. Consumption transitions: current on the aux diagonal, a
-        #    down-shift on battery b's grid factor, and the policy's routing
-        #    weight as a diagonal row scaling over the full product space.
-        if np.any(metadata.currents_aux > 0.0):
-            current_factor = sp.diags(metadata.currents_aux / delta).tocsr()
-            for b, grid in enumerate(grids):
-                shift = _consumption_shift(grid)
-                factors = [current_factor] + identities[:b] + [shift] + identities[b + 1 :]
-                lifted = kron_chain(factors)
-                # Routing weight of battery b for product state (i, p, cell):
-                # rows are aux-major, aux = i * n_phases + p, so the phase
-                # pattern tiles over the workload states.
-                weight_rows = np.tile(
-                    metadata.weights[:, :, b], (workload.n_states, 1)
-                ).ravel()
-                if not np.any(weight_rows > 0.0):
-                    continue
-                off_diagonal = off_diagonal + sp.diags(weight_rows) @ lifted
-
-        # Failed states are absorbing: zero their rows (workload, phase,
-        # transfer and consumption alike), mirroring the single-battery
-        # convention that empty states freeze entirely.
-        active_rows = np.tile(~metadata.failed_cells, metadata.n_aux).astype(float)
-        off_diagonal = (sp.diags(active_rows) @ off_diagonal).tocsr()
-        off_diagonal.eliminate_zeros()
-        row_sums = np.asarray(off_diagonal.sum(axis=1)).ravel()
-        return (off_diagonal + sp.diags(-row_sums)).tocsr()
-
-    def _matrix_free_generator(
+    def _kronecker_generator(
         self, metadata: _ProductMetadata, delta: float
     ) -> KroneckerGenerator:
-        """The same transition structure as a factor-wise operator.
+        """The product chain's generator as Kronecker terms.
 
-        Every assembled summand maps onto one
-        :class:`~repro.markov.kronecker.KroneckerTerm`: the small factor
-        matrices are identical, and the full-space diagonal scalings
-        (k-of-N absorption mask, per-state currents, routing weights)
-        become broadcastable per-axis-group scalings -- the active/weight
-        masks live on the joint cell axes, the current on the aux axis.
-        Phase-dependent routing (round-robin) splits the consumption of a
-        battery into one term per phase, keeping every scaling a product
-        of an aux vector and a cell-space array.
+        One :class:`~repro.markov.kronecker.KroneckerTerm` per transition
+        family: the workload/phase transitions on the aux factor, each
+        battery's transfer and consumption on its grid factor.  The
+        state-dependent rates (k-of-N absorption mask, per-state currents,
+        routing weights) are broadcastable per-axis-group scalings -- the
+        active/weight masks live on the joint cell axes, the current on
+        the aux axis.  Phase-dependent routing (round-robin) splits the
+        consumption of a battery into one term per phase, keeping every
+        scaling a product of an aux vector and a cell-space array.  The
+        matrix-free backend applies these terms as they are; the assembled
+        backend is their :meth:`~KroneckerGenerator.to_csr`.
         """
         dims = (metadata.n_aux,) + metadata.cells
         cell_shape = (1,) + metadata.cells
@@ -504,11 +444,9 @@ class MultiBatterySystem:
                         )
                     )
 
-        # Construction-time validation keeps parity with the assembled
-        # backend, whose TransientPropagator validation would catch e.g. a
-        # buggy custom policy emitting negative routing weights; the checks
-        # scan only the factor matrices and scaling arrays, never the
-        # product space.
+        # Construction-time validation catches e.g. a policy emitting
+        # negative routing weights; the checks scan only the factor
+        # matrices and scaling arrays, never the product space.
         return KroneckerGenerator(dims, terms, validate=True)
 
 
@@ -534,7 +472,6 @@ class DiscretizedMultiBatterySystem:
     generator: sp.csr_matrix | KroneckerGenerator
     initial_distribution: FloatArray
     empty_states: IntArray
-    levels: IntArray
     failed_cells: npt.NDArray[np.bool_]
     backend: str = "assembled"
 
@@ -553,31 +490,3 @@ class DiscretizedMultiBatterySystem:
         diagonal plus the factor matrices and scalings.
         """
         return int(self.generator.nnz)
-
-    @property
-    def n_cells(self) -> int:
-        """Number of joint charge configurations (product of the grids)."""
-        return int(self.levels.shape[0])
-
-    @property
-    def uniformization_rate(self) -> float:
-        """Maximal exit rate of the product chain (before the safety factor)."""
-        return float(np.max(-self.generator.diagonal(), initial=0.0))
-
-    def empty_probability(
-        self, distributions: npt.ArrayLike
-    ) -> FloatArray | float:
-        """Sum the probability mass of the system-failed states."""
-        distributions = np.asarray(distributions)
-        if distributions.ndim == 1:
-            return float(distributions[self.empty_states].sum())
-        return distributions[:, self.empty_states].sum(axis=1)
-
-    def battery_alive_probability(
-        self, distribution: npt.ArrayLike, battery: int
-    ) -> float:
-        """Probability that battery *battery* still holds available charge."""
-        distribution = np.asarray(distribution, dtype=float)
-        n_aux = self.n_states // self.n_cells
-        by_cell = distribution.reshape(n_aux, self.n_cells).sum(axis=0)
-        return float(by_cell[self.levels[:, battery] >= 1].sum())

@@ -39,7 +39,6 @@ from repro.obs.trace import (
     DEFAULT_MODE,
     ENV_VAR,
     TRACE_MODES,
-    JsonlTraceSink,
     Span,
     Tracer,
     current_tracer,
@@ -60,7 +59,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "JsonlTraceSink",
     "MetricsRegistry",
     "Span",
     "TRACE_MODES",

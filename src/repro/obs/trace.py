@@ -46,19 +46,16 @@ import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import IO, TYPE_CHECKING, Any, ContextManager
+from typing import TYPE_CHECKING, Any, ContextManager
 
 from repro.obs.clock import now
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from collections.abc import Callable, Iterable, Iterator, Mapping
 
-    from repro.checking.protocols import TraceSink
-
 __all__ = [
     "DEFAULT_MODE",
     "ENV_VAR",
-    "JsonlTraceSink",
     "Span",
     "TRACE_MODES",
     "Tracer",
@@ -138,36 +135,12 @@ def span_from_record(record: "Mapping[str, Any]") -> Span:
     )
 
 
-class JsonlTraceSink:
-    """Reference :class:`~repro.checking.protocols.TraceSink`: JSON lines.
-
-    Streams every finished span to *stream* as one JSON object per line
-    -- the same format :meth:`Tracer.export_jsonl` writes in one go and
-    ``tools/repro_trace.py`` reads back.
-    """
-
-    def __init__(self, stream: IO[str]) -> None:
-        self._stream = stream
-        self._lock = threading.Lock()
-
-    def emit(self, record: "Mapping[str, Any]") -> None:
-        """Write one span record as a JSON line."""
-        line = json.dumps(dict(record), sort_keys=True, default=str)
-        with self._lock:
-            self._stream.write(line + "\n")
-
-    def flush(self) -> None:
-        """Flush the underlying stream."""
-        self._stream.flush()
-
-
 class Tracer:
-    """Collects spans; thread-safe; clock and sink are injectable.
+    """Collects spans; thread-safe; the clock is injectable.
 
-    Spans accumulate in memory (:meth:`spans`, :meth:`export_jsonl`) and,
-    when a *sink* is given, are additionally streamed to it as they
-    finish.  *mode* is ``"summary"`` or ``"full"`` -- an off tracer is
-    simply no tracer (see :func:`current_tracer`).
+    Spans accumulate in memory (:meth:`spans`, :meth:`export_jsonl`).
+    *mode* is ``"summary"`` or ``"full"`` -- an off tracer is simply no
+    tracer (see :func:`current_tracer`).
     """
 
     def __init__(
@@ -175,7 +148,6 @@ class Tracer:
         mode: str = "full",
         *,
         clock: "Callable[[], float] | None" = None,
-        sink: "TraceSink | None" = None,
     ) -> None:
         if mode not in TRACE_MODES or mode == "off":
             raise ValueError(
@@ -184,7 +156,6 @@ class Tracer:
             )
         self.mode = mode
         self._clock = clock if clock is not None else now
-        self._sink = sink
         self._spans: list[Span] = []
         self._lock = threading.Lock()
 
@@ -293,8 +264,6 @@ class Tracer:
     def _add(self, item: Span) -> None:
         with self._lock:
             self._spans.append(item)
-        if self._sink is not None:
-            self._sink.emit(item.as_record())
 
     # ------------------------------------------------------------------
     def spans(self) -> list[Span]:
@@ -383,7 +352,6 @@ def trace_mode() -> str:
 def override_trace(
     mode: str,
     *,
-    sink: "TraceSink | None" = None,
     clock: "Callable[[], float] | None" = None,
 ) -> "Iterator[Tracer | None]":
     """Force the trace *mode* within a ``with`` block (re-entrant).
@@ -405,7 +373,7 @@ def override_trace(
         _installed = None
         _forced_off = True
     else:
-        tracer = Tracer(mode, sink=sink, clock=clock)
+        tracer = Tracer(mode, clock=clock)
         _installed = tracer
         _forced_off = False
     # A fresh scope starts with no parent: spans of the scoped tracer must

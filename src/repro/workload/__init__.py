@@ -17,13 +17,13 @@ Beyond the paper, three scenario families feed the sweep layer:
 * seeded **random** workload generation (:mod:`repro.workload.randomized`).
 
 :mod:`repro.workload.builder` offers a fluent API for defining custom
-models, and :mod:`repro.workload.catalog` a registry of the standard ones.
+models, and :mod:`repro.workload.catalog` a fixed catalog of the standard ones.
 """
 
 from repro.workload.base import WorkloadModel
 from repro.workload.builder import WorkloadBuilder
 from repro.workload.burst import burst_workload
-from repro.workload.catalog import available_workloads, get_workload, register_workload
+from repro.workload.catalog import available_workloads, get_workload
 from repro.workload.dutycycle import duty_cycle_workload
 from repro.workload.mmpp import mmpp_workload
 from repro.workload.onoff import onoff_workload
@@ -40,6 +40,5 @@ __all__ = [
     "mmpp_workload",
     "onoff_workload",
     "random_workload",
-    "register_workload",
     "simple_workload",
 ]

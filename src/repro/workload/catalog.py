@@ -1,4 +1,4 @@
-"""Registry of the standard workload models.
+"""The fixed catalog of the standard workload models.
 
 The catalog maps short names to the factory functions of the models used in
 the paper -- plus the extended scenario families (MMPP bursty traffic,
@@ -20,7 +20,7 @@ from repro.workload.onoff import onoff_workload
 from repro.workload.randomized import random_workload
 from repro.workload.simple import simple_workload
 
-__all__ = ["available_workloads", "get_workload", "register_workload"]
+__all__ = ["available_workloads", "get_workload"]
 
 _CATALOG: dict[str, Callable[..., WorkloadModel]] = {
     "onoff": onoff_workload,
@@ -33,22 +33,12 @@ _CATALOG: dict[str, Callable[..., WorkloadModel]] = {
 
 
 def available_workloads() -> list[str]:
-    """Return the names of all registered workload factories."""
+    """Return the names of the catalog's workload factories."""
     return sorted(_CATALOG)
 
 
-def register_workload(name: str, factory: Callable[..., WorkloadModel]) -> None:
-    """Register a custom workload factory under *name*.
-
-    Raises :class:`ValueError` if the name is already taken.
-    """
-    if name in _CATALOG:
-        raise ValueError(f"a workload named {name!r} is already registered")
-    _CATALOG[name] = factory
-
-
 def get_workload(name: str, **kwargs: Any) -> WorkloadModel:
-    """Instantiate the workload registered under *name*.
+    """Instantiate the catalog workload called *name*.
 
     Keyword arguments are forwarded to the factory (e.g.
     ``get_workload("onoff", frequency=1.0, erlang_k=2)``).

@@ -1,6 +1,6 @@
 """Tests of the :mod:`repro.checking` correctness layer.
 
-Protocol conformance of the shipped plug-point implementations, the
+Conformance of the shipped chain backends to ``DiscretizedChain``, the
 fingerprint-registry audit, the diagnostics schema, the size-guarded
 dense boundary and the ``REPRO_CHECKS`` mode semantics.
 """
@@ -18,9 +18,6 @@ from repro.checking import (
     ContractViolationWarning,
     DenseFallbackError,
     DiscretizedChain,
-    GeneratorOperator,
-    SchedulerPolicy,
-    UniformizationKernel,
     audit_fingerprint_registry,
     checks_mode,
     dense_fallback,
@@ -31,13 +28,8 @@ from repro.checking import (
 from repro.core.discretization import discretize
 from repro.core.kibamrm import KiBaMRM
 from repro.engine.diagnostics import DIAGNOSTIC_KEYS, validate_diagnostics
-from repro.markov.kernels import ScipyKernel
-from repro.markov.kronecker import KroneckerGenerator, KroneckerTerm, UniformizedOperator
-from repro.multibattery.policies import (
-    BestOfPolicy,
-    RoundRobinPolicy,
-    StaticSplitPolicy,
-)
+from repro.markov.kronecker import KroneckerGenerator, KroneckerTerm
+from repro.multibattery.policies import StaticSplitPolicy
 from repro.multibattery.system import MultiBatterySystem
 from repro.workload.onoff import onoff_workload
 
@@ -53,24 +45,8 @@ def small_chain():
 
 
 # ----------------------------------------------------------------------
-# protocol conformance of the shipped implementations
+# the chain shape every discretisation backend hands the engine
 # ----------------------------------------------------------------------
-
-
-def test_kronecker_generator_satisfies_generator_operator() -> None:
-    assert isinstance(small_kronecker(), GeneratorOperator)
-
-
-def test_kernels_satisfy_uniformization_kernel() -> None:
-    matrix = sp.csr_matrix(np.eye(4))
-    assert isinstance(ScipyKernel(matrix), UniformizationKernel)
-    operator = UniformizedOperator(small_kronecker(), rate=2.0)
-    assert isinstance(ScipyKernel(operator), UniformizationKernel)
-
-
-def test_policies_satisfy_scheduler_policy() -> None:
-    for policy in (StaticSplitPolicy(), RoundRobinPolicy(), BestOfPolicy()):
-        assert isinstance(policy, SchedulerPolicy), policy
 
 
 def test_discretized_chains_satisfy_discretized_chain() -> None:
@@ -91,10 +67,10 @@ def test_multibattery_chains_satisfy_discretized_chain() -> None:
 
 
 def test_non_conforming_object_is_rejected() -> None:
-    class NotAKernel:
-        name = "nope"
+    class NotAChain:
+        generator = None
 
-    assert not isinstance(NotAKernel(), UniformizationKernel)
+    assert not isinstance(NotAChain(), DiscretizedChain)
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ from repro.battery.parameters import KiBaMParameters
 from repro.checking import dense_fallback
 from repro.core.discretization import discretize
 from repro.core.kibamrm import KiBaMRM
+from repro.markov.generator import exit_rates
 from repro.markov.validate import validate_generator
 from repro.workload.onoff import onoff_workload
 from repro.workload.simple import simple_workload
@@ -124,15 +125,17 @@ class TestTransitionRates:
 class TestHelpers:
     def test_empty_probability_of_initial_distribution_is_zero(self, small_two_well_model):
         discretized = discretize(small_two_well_model, delta=12.5)
-        assert discretized.empty_probability(discretized.initial_distribution) == 0.0
+        assert discretized.initial_distribution[discretized.empty_states].sum() == 0.0
 
     def test_workload_marginal_sums_to_one(self, small_two_well_model):
         discretized = discretize(small_two_well_model, delta=12.5)
-        marginal = discretized.workload_state_probability(discretized.initial_distribution)
+        marginal = discretized.initial_distribution.reshape(
+            1, small_two_well_model.n_states, discretized.grid.n_cells
+        ).sum(axis=2)
         assert marginal.shape == (1, 3)
         assert marginal.sum() == pytest.approx(1.0)
 
     def test_uniformization_rate_reported(self, small_single_well_model):
         discretized = discretize(small_single_well_model, delta=10.0)
-        assert discretized.uniformization_rate > 0.0
+        assert exit_rates(discretized.generator).max() > 0.0
         assert discretized.n_nonzero > 0

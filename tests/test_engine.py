@@ -20,6 +20,7 @@ from repro.engine import (
     solve_lifetime,
 )
 from repro.engine.solvers import MAX_AUTO_MRM_STATES
+from repro.workload.base import WorkloadModel
 from repro.workload.onoff import onoff_workload
 from repro.workload.simple import simple_workload
 
@@ -203,6 +204,32 @@ class TestSolverAgreement:
         )
         with pytest.raises(UnsupportedProblemError):
             get_solver("analytic").solve(problem)
+
+    @pytest.mark.parametrize(
+        ("currents", "horizon"),
+        [((0.5, 0.05), 5.0), ((0.0, 0.0), None)],
+        ids=["short-horizon", "zero-current"],
+    )
+    def test_monte_carlo_with_every_run_censored_answers_zero(self, currents, horizon):
+        """No run dies before the horizon: the CDF is 0 and there is no sample mean."""
+        workload = WorkloadModel(
+            state_names=("busy", "idle"),
+            generator=np.array([[-0.02, 0.02], [0.02, -0.02]]),
+            currents=np.array(currents),
+            initial_distribution=np.array([1.0, 0.0]),
+        )
+        problem = LifetimeProblem(
+            workload=workload,
+            battery=KiBaMParameters(capacity=60.0, c=0.625, k=1e-3),
+            times=[1.0, 4.0],
+            horizon=horizon,
+            n_runs=50,
+            seed=1,
+        )
+        result = solve_lifetime(problem, "monte-carlo")
+        np.testing.assert_array_equal(result.probabilities, [0.0, 0.0])
+        assert result.diagnostics["censored_runs"] == problem.n_runs
+        assert result.diagnostics["mean_lifetime_seconds"] is None
 
 
 class TestWorkspaceReuse:

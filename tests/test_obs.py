@@ -11,7 +11,6 @@ spans in one correctly-parented tree.
 
 from __future__ import annotations
 
-import io
 import json
 
 import numpy as np
@@ -19,7 +18,6 @@ import pytest
 
 from repro import obs
 from repro.battery.parameters import KiBaMParameters
-from repro.checking.protocols import TraceSink
 from repro.engine import (
     ExecutionPolicy,
     RunOptions,
@@ -114,17 +112,6 @@ class TestTracer:
         assert by_name["chunk_solve"].start == pytest.approx(
             original["chunk_solve"]["start"] - earliest + 100.0
         )
-
-    def test_jsonl_sink_streams_finished_spans(self) -> None:
-        stream = io.StringIO()
-        sink = obs.JsonlTraceSink(stream)
-        assert isinstance(sink, TraceSink)
-        tracer = obs.Tracer(sink=sink)
-        with tracer.span("streamed"):
-            pass
-        sink.flush()
-        (line,) = stream.getvalue().strip().splitlines()
-        assert json.loads(line)["name"] == "streamed"
 
     def test_export_jsonl_roundtrips_through_span_from_record(self, tmp_path) -> None:
         tracer = obs.Tracer()

@@ -6,12 +6,11 @@ import pytest
 from repro.battery.units import SECONDS_PER_HOUR
 from repro.workload.base import WorkloadModel
 from repro.workload.builder import WorkloadBuilder
-from repro.workload.catalog import available_workloads, get_workload, register_workload
+from repro.workload.catalog import available_workloads, get_workload
 from repro.workload.dutycycle import duty_cycle_workload
 from repro.workload.mmpp import mmpp_workload
 from repro.workload.onoff import onoff_workload
 from repro.workload.randomized import random_workload
-from repro.workload.simple import simple_workload
 
 
 class TestWorkloadModel:
@@ -357,9 +356,3 @@ class TestCatalog:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             get_workload("does-not-exist")
-
-    def test_register_custom_and_reject_duplicates(self):
-        register_workload("custom-test-model", lambda: simple_workload())
-        assert "custom-test-model" in available_workloads()
-        with pytest.raises(ValueError):
-            register_workload("simple", simple_workload)
