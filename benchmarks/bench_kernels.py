@@ -48,7 +48,7 @@ from repro.markov import kernels
 from repro.markov import validate as markov_validate
 from repro.markov.poisson import cached_poisson_weights, truncation_points
 from repro.markov.uniformization import TransientPropagator
-from repro.markov.validate import check_chain, check_generator
+from repro.markov.validate import check_chain, check_generator, check_uniformized
 from repro.multibattery import MultiBatterySystem
 from repro.workload.base import WorkloadModel
 
@@ -405,8 +405,12 @@ def test_checks_off_overhead(benchmark, monkeypatch):
 
     monkeypatch.setattr(markov_validate, "validate_generator", _bomb)
     monkeypatch.setattr(markov_validate, "validate_absorbing", _bomb)
+    monkeypatch.setattr(markov_validate, "validate_stochastic", _bomb)
     check_chain(chain)
     check_generator(chain.generator)
+    # The assembled-bank P check of the same propagator entry: off mode
+    # returns before reading its arguments.
+    check_uniformized(chain.generator, chain.generator)
 
     _merge_record_section("checks_off_overhead", {
         "benchmark": "repro_checks_off_guard_overhead",

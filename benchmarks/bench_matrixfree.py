@@ -34,9 +34,9 @@ import numpy as np
 import pytest
 
 from repro.battery.parameters import KiBaMParameters
+from repro.engine.workspace import SolveWorkspace
 from repro.experiments.records import write_bench_record
 from repro.markov.kronecker import assembled_csr_bytes
-from repro.markov.uniformization import TransientPropagator
 from repro.multibattery import MultiBatterySystem
 from repro.workload.base import WorkloadModel
 
@@ -101,7 +101,8 @@ def _bank(n_batteries: int) -> MultiBatterySystem:
 def _solve(chain, times: np.ndarray):
     projection = np.zeros(chain.n_states)
     projection[chain.empty_states] = 1.0
-    propagator = TransientPropagator(chain.generator, validate=False)
+    # The workspace builds the propagator the chain's backend calls for.
+    propagator = SolveWorkspace().propagator(chain, (chain.backend,))
     return propagator.transient_batch(
         chain.initial_distribution[None, :],
         times,
@@ -229,7 +230,7 @@ def test_midsize_backend_comparison_and_record():
         "scenario": {
             "n_batteries": 3,
             "n_states": int(assembled.n_states),
-            "nnz": int(assembled.generator.nnz),
+            "nnz": int(assembled.n_nonzero),
             "delta_as": float(delta),
             "n_times": int(times.size),
         },

@@ -32,7 +32,6 @@ from repro.battery.parameters import KiBaMParameters
 from repro.engine import solve_lifetime
 from repro.engine.workspace import SolveWorkspace
 from repro.experiments.records import write_bench_record
-from repro.markov.uniformization import TransientPropagator
 from repro.multibattery import MultiBatteryProblem
 from repro.workload.base import WorkloadModel
 
@@ -90,7 +89,7 @@ def test_product_chain_incremental_speedup(benchmark):
 
     chain = problem.model().discretize(delta)
     assert chain.n_states >= 20_000
-    propagator = TransientPropagator(chain.generator, validate=False)
+    propagator = SolveWorkspace().propagator(chain, (chain.backend,))
     projection = np.zeros(chain.n_states)
     projection[chain.empty_states] = 1.0
     initial = chain.initial_distribution[None, :]

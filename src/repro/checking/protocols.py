@@ -2,7 +2,7 @@
 
 :class:`DiscretizedChain` writes down the shape every discretisation
 backend hands the engine -- ``DiscretizedKiBaMRM``,
-``DiscretizedMultiBatterySystem`` (assembled CSR or
+``DiscretizedMultiBatterySystem`` (a
 :class:`~repro.markov.kronecker.KroneckerGenerator`) and
 ``LumpedMultiBatterySystem`` share no base class.  The module also names
 the array and generator types the numerical code is annotated with, and

@@ -62,13 +62,18 @@ __all__ = [
 ]
 
 #: Largest expanded-chain size the ``auto`` dispatcher hands to the
-#: Markovian approximation before falling back to Monte-Carlo.
+#: Markovian approximation before falling back to Monte-Carlo, for
+#: single-battery chains and for the quotient states of lumped banks.
 MAX_AUTO_MRM_STATES = 200_000
 
-#: Larger budget for multi-battery chains solved through the matrix-free
-#: backend: the operator never materialises the product CSR, so memory stops
-#: being the binding constraint and only the per-iteration vector work
-#: limits the viable size.
+#: Larger budget, in product states, for every non-lumped bank, whichever
+#: backend applies ``P``.  Under ``"auto"`` a bank is assembled only while
+#: its ``P`` fits
+#: :data:`~repro.multibattery.system.ASSEMBLED_CSR_BUDGET_BYTES` and is
+#: applied matrix-free beyond it, so only the per-iteration vector work
+#: limits the viable size.  A bank pinned to ``"assembled"`` is assembled
+#: at any size (no byte budget applies to a pin), so such a pin above the
+#: budget costs the memory of its ``P``, not a change of method.
 MAX_AUTO_MATRIXFREE_STATES = 2_000_000
 
 
@@ -187,8 +192,9 @@ class MRMUniformizationSolver:
         other problem is the same chain started at a lower charge level
         (see :mod:`repro.engine.batch`).  Bank problems key the workspace's
         chain and propagator caches on ``(chain_key, backend)``, because
-        the backends build different objects (CSR, operator, quotient
-        chain) for the same physical chain; steady-state notes key on the
+        the backends build different objects (a CSR ``P`` or the
+        factor-wise operator, or the quotient chain) for the same physical
+        chain; steady-state notes key on the
         bare ``chain_key``, because the detected flattening time is a
         property of the lifetime law, not of the realisation.
         """
@@ -393,14 +399,16 @@ def choose_method(problem: LifetimeProblem) -> str:
     multi-battery problems the budget follows the resolved product-chain
     backend: the symmetry-lumped quotient of an identical bank counts its
     (much smaller) quotient states against :data:`MAX_AUTO_MRM_STATES`,
-    and matrix-free banks -- no assembled matrix to hold -- get the larger
-    :data:`MAX_AUTO_MATRIXFREE_STATES` budget.
+    and every other bank counts its product states against
+    :data:`MAX_AUTO_MATRIXFREE_STATES`, whether its ``P`` is assembled or
+    applied matrix-free -- the backend changes the cost per product, not
+    which method answers.
     """
     if AnalyticSolver().supports(problem):
         return AnalyticSolver.name
     if problem.is_multibattery:
-        matrix_free = problem.resolved_backend() == "matrix-free"
-        limit = MAX_AUTO_MATRIXFREE_STATES if matrix_free else MAX_AUTO_MRM_STATES
+        lumped = problem.resolved_backend() == "lumped"
+        limit = MAX_AUTO_MRM_STATES if lumped else MAX_AUTO_MATRIXFREE_STATES
         if problem.estimated_backend_states() <= limit:
             return MRMUniformizationSolver.name
         return MonteCarloSolver.name

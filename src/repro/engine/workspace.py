@@ -83,10 +83,12 @@ class SolveWorkspace:
         product systems expose a ``discretize(delta)`` method -- are
         dispatched to it; plain :class:`KiBaMRM` models go through the
         single-battery :func:`discretize`.  *backend* selects the
-        multi-battery realisation (assembled CSR, matrix-free operator,
-        or symmetry-lumped quotient); callers must fold it into *key*,
-        because the backends build different chain objects for the same
-        physical chain.
+        multi-battery realisation: the Kronecker operator for
+        ``"assembled"`` and ``"matrix-free"`` (the chain records which, and
+        :meth:`propagator` builds ``P`` accordingly), or the
+        symmetry-lumped quotient.  Callers must fold it into *key*,
+        because the backends build different chain and propagator objects
+        for the same physical chain.
         """
         chain = self.chains.get(key)
         if chain is None:
@@ -106,11 +108,20 @@ class SolveWorkspace:
         return chain
 
     def propagator(self, chain: DiscretizedKiBaMRM, key: tuple[Any, ...]) -> TransientPropagator:
-        """Return the cached uniformised propagator for *chain*."""
+        """Return the cached uniformised propagator for *chain*.
+
+        The chain's ``backend`` is passed on: an ``"assembled"`` bank's
+        propagator writes ``P`` as CSR from the chain's Kronecker operator
+        and holds only that matrix.
+        """
         propagator = self.propagators.get(key)
         if propagator is None:
             with obs.span("propagator_build"):
-                propagator = TransientPropagator(chain.generator, validate=False)
+                propagator = TransientPropagator(
+                    chain.generator,
+                    validate=False,
+                    assemble=getattr(chain, "backend", None) == "assembled",
+                )
             self.propagators[key] = propagator
         return propagator
 

@@ -69,7 +69,7 @@ from repro.markov.poisson import (
     shared_poisson_windows,
     truncation_points,
 )
-from repro.markov.validate import check_generator, validate_generator
+from repro.markov.validate import check_generator, check_uniformized, validate_generator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy.typing as npt
@@ -170,13 +170,24 @@ class TransientPropagator:
     Parameters
     ----------
     generator:
-        CTMC generator matrix (dense ndarray or any scipy sparse format).
+        CTMC generator: a dense ndarray, any scipy sparse format, or a
+        :class:`~repro.markov.kronecker.KroneckerGenerator` operator.
     rate:
         Optional uniformisation rate; must dominate every exit rate.  When
         omitted, the maximal exit rate times a small safety factor is used.
     validate:
         When ``True`` (default) the generator is validated once here, and
         initial distributions are checked in every solve call.
+    assemble:
+        For an operator generator: build ``P = I + Q/rate`` as one CSR
+        matrix written straight from the Kronecker terms
+        (:meth:`~repro.markov.kronecker.KroneckerGenerator.uniformized_csr`;
+        the ``"assembled"`` bank backend) instead of applying it
+        factor-wise.  Either way the operator stays the generator and
+        ``P`` is the only matrix the propagator holds.  Dense and sparse
+        generators are always assembled.  Bank chains get their propagator
+        from :meth:`~repro.engine.workspace.SolveWorkspace.propagator`,
+        which sets this from the chain's ``backend``.
     """
 
     def __init__(
@@ -185,13 +196,14 @@ class TransientPropagator:
         *,
         rate: float | None = None,
         validate: bool = True,
+        assemble: bool = False,
     ) -> None:
-        self._matrix_free = isinstance(generator, KroneckerGenerator)
-        if self._matrix_free:
-            # Matrix-free chains stay operators end-to-end: validation is
-            # the operator's cheap structural check, and the uniformised
-            # matrix is the lazy map v -> v + (v Q)/rate instead of a CSR
-            # copy of the (possibly un-materialisable) product generator.
+        operator = isinstance(generator, KroneckerGenerator)
+        self._matrix_free = operator and not assemble
+        if operator:
+            # Operator generators stay operators: validation is the
+            # operator's cheap structural check, and P is either the lazy
+            # map v -> v + (v Q)/rate or assembled straight from the terms.
             matrix = generator
             if validate:
                 generator.validate()
@@ -222,6 +234,9 @@ class TransientPropagator:
         check_generator(self._generator, rate=self._rate)
         if self._matrix_free:
             self._probability_matrix = UniformizedOperator(matrix, self._rate)
+        elif isinstance(matrix, KroneckerGenerator):
+            self._probability_matrix = matrix.uniformized_csr(self._rate)
+            check_uniformized(self._probability_matrix, matrix)
         else:
             n = matrix.shape[0]
             self._probability_matrix = (
@@ -234,15 +249,16 @@ class TransientPropagator:
     def generator(self) -> GeneratorLike:
         """The generator: the CSR matrix used internally, or the operator.
 
-        Matrix-free chains (a
+        Operator generators (a
         :class:`~repro.markov.kronecker.KroneckerGenerator`) are kept as
-        operators; everything else is the CSR conversion.
+        operators, whether ``P`` is assembled or not; everything else is
+        the CSR conversion.
         """
         return self._generator
 
     @property
     def is_matrix_free(self) -> bool:
-        """Whether the chain is propagated through a matrix-free operator."""
+        """Whether ``v @ P`` is applied factor-wise instead of as CSR."""
         return self._matrix_free
 
     @property

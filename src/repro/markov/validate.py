@@ -12,6 +12,8 @@ runtime assert covers end-to-end:
 * a **Kronecker operator** is consistent: factor shapes match the product
   dims, scales broadcast, signs are legal, and the implied non-zero
   accounting matches an independent recount (:func:`validate_kronecker`);
+  the ``P = I + Q/q`` assembled from it is row-stochastic with exactly
+  the implied entries (:func:`validate_stochastic`);
 * a **lumping partition** is an exact quotient: within every block, all
   member states aggregate identically over every other block -- in
   particular exit rates are preserved (:func:`validate_lumping`).
@@ -20,9 +22,10 @@ Every failure raises :class:`ValidationError` with a diagnostic naming
 the offending state, entry, term or block, so a violation found deep in a
 product-space construction is attributable without a debugger.
 
-:func:`check_chain` and :func:`check_generator` are the entry-point hooks
-wired into ``discretize`` / :class:`~repro.markov.uniformization.TransientPropagator`
-behind the ``REPRO_CHECKS`` toggle (see :mod:`repro.checking.contracts`):
+:func:`check_chain`, :func:`check_generator` and :func:`check_uniformized`
+are the entry-point hooks wired into ``discretize`` /
+:class:`~repro.markov.uniformization.TransientPropagator` behind the
+``REPRO_CHECKS`` toggle (see :mod:`repro.checking.contracts`):
 ``strict`` raises, ``warn`` warns, ``off`` skips everything but one
 environment lookup.
 """
@@ -49,16 +52,18 @@ __all__ = [
     "ValidationError",
     "check_chain",
     "check_generator",
+    "check_uniformized",
     "validate_absorbing",
     "validate_generator",
     "validate_kronecker",
     "validate_lumping",
+    "validate_stochastic",
 ]
 
 #: Above this state count the graph-reachability checks of
 #: :func:`validate_absorbing` are skipped by :func:`check_chain` -- the
-#: strongly-connected-component sweep is linear but not free, and chains
-#: this large are matrix-free anyway.
+#: sweeps are linear but not free, and a bank operator must be assembled
+#: (:meth:`~repro.markov.kronecker.KroneckerGenerator.to_csr`) for them.
 REACHABILITY_STATE_LIMIT = 300_000
 
 #: Above this state count :func:`validate_kronecker` skips the assembled
@@ -373,6 +378,44 @@ def validate_kronecker(
             )
 
 
+def validate_stochastic(
+    matrix: sp.csr_matrix,
+    *,
+    expected_nnz: int | None = None,
+    tolerance: float = DEFAULT_TOLERANCE,
+) -> None:
+    """Raise :class:`ValidationError` unless CSR *matrix* is row-stochastic.
+
+    Checks, each naming the offending row: every stored entry is finite
+    and non-negative, and every row sums to 1 within *tolerance*.  When
+    *expected_nnz* is given, the stored entry count must equal it (for an
+    assembled ``P = I + Q/q``: the implied off-diagonal count plus one
+    diagonal slot per state).
+    """
+    csr = matrix.tocsr()
+    bad = ~(np.isfinite(csr.data) & (csr.data >= 0.0))
+    if np.any(bad):
+        where = int(np.argmax(bad))
+        row = int(np.searchsorted(csr.indptr, where, side="right")) - 1
+        raise ValidationError(
+            f"row {row} of the uniformised matrix has entry "
+            f"({row}, {int(csr.indices[where])}) = {csr.data[where]!r}, "
+            "expected a finite non-negative probability"
+        )
+    sums = np.asarray(csr.sum(axis=1)).ravel()
+    deviation = np.abs(sums - 1.0)
+    if np.any(deviation > tolerance):
+        row = int(np.argmax(deviation))
+        raise ValidationError(
+            f"row {row} of the uniformised matrix sums to {sums[row]!r}, expected 1"
+        )
+    if expected_nnz is not None and csr.nnz != expected_nnz:
+        raise ValidationError(
+            f"the uniformised matrix stores {csr.nnz} entries but the generator "
+            f"implies {expected_nnz}"
+        )
+
+
 # ----------------------------------------------------------------------
 # lumping quotients
 # ----------------------------------------------------------------------
@@ -479,13 +522,35 @@ def check_generator(
         enforce(error, mode=active)
 
 
+def check_uniformized(
+    matrix: sp.csr_matrix, generator: KroneckerGenerator, *, mode: str | None = None
+) -> None:
+    """``REPRO_CHECKS`` hook for an assembled ``P = I + Q/q`` of an operator.
+
+    Runs :func:`validate_stochastic` with the entry count the operator
+    implies: its off-diagonal non-zeros plus one diagonal slot per state.
+    In ``off`` mode this is a single dictionary lookup.
+    """
+    active = checks_mode() if mode is None else mode
+    if active == "off":
+        return
+    diagonal = generator.diagonal()
+    expected = generator.nnz - int(np.count_nonzero(diagonal)) + diagonal.size
+    try:
+        validate_stochastic(matrix, expected_nnz=expected)
+    except ValidationError as error:
+        enforce(error, mode=active)
+
+
 def check_chain(chain: Any, *, mode: str | None = None) -> None:
     """``REPRO_CHECKS`` hook for ``discretize`` exit: validate a built chain.
 
     Validates the chain's generator (structural Q-matrix laws, operator
-    consistency) and -- for assembled chains up to
-    :data:`REACHABILITY_STATE_LIMIT` states -- the absorbing structure
-    against the chain's ``empty_states`` and initial distribution.
+    consistency) and -- for chains up to :data:`REACHABILITY_STATE_LIMIT`
+    states -- the absorbing structure against the chain's
+    ``empty_states`` and initial distribution.  A bank's Kronecker
+    operator is assembled with ``to_csr()`` for that check, whichever
+    backend applies it.
     """
     active = checks_mode() if mode is None else mode
     if active == "off":
@@ -496,10 +561,12 @@ def check_chain(chain: Any, *, mode: str | None = None) -> None:
         empty = getattr(chain, "empty_states", None)
         if (
             empty is not None
-            and sp.issparse(generator)
+            and (sp.issparse(generator) or isinstance(generator, KroneckerGenerator))
             and generator.shape[0] <= REACHABILITY_STATE_LIMIT
             and np.asarray(empty).size
         ):
+            if isinstance(generator, KroneckerGenerator):
+                generator = generator.to_csr()
             validate_absorbing(generator, chain.initial_distribution, empty)
     except ValidationError as error:
         enforce(error, mode=active)

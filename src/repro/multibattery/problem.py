@@ -71,16 +71,22 @@ class MultiBatteryProblem(LifetimeProblem):
         ``k = N`` (the system survives on its last battery).
     backend:
         Product-chain realisation handed to the MRM solver:
-        ``"assembled"`` (one merged CSR matrix), ``"matrix-free"``
-        (factor-wise operator application, for banks whose assembled
-        generator would not fit), ``"lumped"`` (the exact
-        permutation-symmetry quotient for identical-battery banks), or
-        ``"auto"`` (the default; resolved from bank size and symmetry via
+        ``"assembled"`` (the uniformised ``P`` written once as CSR from the
+        Kronecker terms; one sparse product per step), ``"matrix-free"``
+        (factor-wise operator application, for banks whose ``P`` would not
+        fit), ``"lumped"`` (the exact permutation-symmetry quotient for
+        identical-battery banks), or ``"auto"`` (the default: lumped when
+        the bank is symmetric, else assembled while one CSR copy of ``P``
+        fits :data:`~repro.multibattery.system.ASSEMBLED_CSR_BUDGET_BYTES`,
+        else matrix-free; see
         :meth:`~repro.multibattery.system.MultiBatterySystem.resolve_backend`).
         All backends agree within the solver's ``epsilon``, so the backend
         is *excluded* from :meth:`chain_key` and hence from the sweep-cache
         fingerprints; cross-check runs between backends need distinct
-        caches.
+        caches.  Pinning ``"assembled"`` or ``"matrix-free"`` never changes
+        the method ``auto`` picks: both budget on product states.  The
+        byte budget only steers ``"auto"``: a pinned ``"assembled"`` bank
+        writes its ``P`` whatever its size.
     """
 
     # The bank widens the inherited scalar fields to optional: the first

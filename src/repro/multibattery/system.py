@@ -29,16 +29,24 @@ the same lifetime CDF within floating-point accuracy):
 
 * ``"matrix-free"`` -- a
   :class:`~repro.markov.kronecker.KroneckerGenerator` operator that
-  applies ``v @ Q`` factor-wise and never materialises the product CSR,
-  unlocking banks whose assembled generator would not fit in memory.
-* ``"assembled"`` -- the same operator assembled into one CSR matrix
-  (:meth:`~repro.markov.kronecker.KroneckerGenerator.to_csr`); memory and
-  assembly time grow with the product-space size, and each ``v @ P``
-  product is one sparse matrix product.
+  applies ``v @ P`` factor-wise and never materialises the product CSR,
+  unlocking banks whose assembled matrix would not fit in memory.
+* ``"assembled"`` -- the same operator as the chain's generator, with the
+  propagator holding one CSR copy of the uniformised ``P = I + Q/q``
+  written straight from the terms
+  (:meth:`~repro.markov.kronecker.KroneckerGenerator.uniformized_csr`);
+  memory and assembly time grow with the product-space size, and each
+  ``v @ P`` product is one sparse matrix product (3.6x cheaper than the
+  factor-wise apply on a 232,560-state bank).
 * ``"lumped"`` -- for banks of *identical* batteries under a
   permutation-symmetric policy, the exact quotient chain over sorted
   charge multisets (:mod:`repro.multibattery.lumping`), shrinking the
   state space by up to ``N!``.
+
+``"auto"`` lumps what it can, assembles a bank whose ``P`` fits
+:data:`ASSEMBLED_CSR_BUDGET_BYTES` as CSR (sized from
+:meth:`MultiBatterySystem.estimated_nonzeros`, without building anything),
+and applies the rest matrix-free.
 
 System failure is a configurable **k-of-N depletion predicate**: the
 system is dead as soon as at least ``failures_to_die`` batteries have
@@ -61,7 +69,7 @@ import scipy.sparse as sp
 from repro.battery.parameters import KiBaMParameters
 from repro.core.discretization import _transfer_rates
 from repro.core.grid import RewardGrid
-from repro.markov.kronecker import KroneckerGenerator, KroneckerTerm
+from repro.markov.kronecker import KroneckerGenerator, KroneckerTerm, assembled_csr_bytes
 from repro.markov.validate import check_chain
 from repro.multibattery.policies import SchedulingPolicy, get_policy
 from repro.workload.base import WorkloadModel
@@ -72,8 +80,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.checking import FloatArray, IntArray
 
 __all__ = [
+    "ASSEMBLED_CSR_BUDGET_BYTES",
     "BACKENDS",
-    "DEFAULT_ASSEMBLED_STATE_LIMIT",
     "DiscretizedMultiBatterySystem",
     "MultiBatterySystem",
 ]
@@ -82,12 +90,15 @@ __all__ = [
 #: can produce.
 BACKENDS = ("assembled", "matrix-free", "lumped")
 
-#: Largest product space the ``auto`` backend resolution still assembles as
-#: CSR; beyond it, non-lumpable banks go matrix-free.  Matches the ``auto``
-#: solver dispatch limit for single-battery chains: up to this size the
-#: assembled matrix is cheap enough that its faster per-iteration sparse
-#: products win.
-DEFAULT_ASSEMBLED_STATE_LIMIT = 200_000
+#: Largest CSR copy of the uniformised ``P`` (in bytes, by
+#: :func:`~repro.markov.kronecker.assembled_csr_bytes` of
+#: :meth:`MultiBatterySystem.estimated_nonzeros`) the ``auto`` backend
+#: resolution still assembles; beyond it, non-lumpable banks go
+#: matrix-free.  One CSR product beats the factor-wise apply (1.8 ms
+#: against 6.5 ms on a 232,560-state bank whose ``P`` takes 16.3 MiB),
+#: while the 1,062,882-state bank of ``benchmarks/bench_matrixfree.py``
+#: (75.2 MiB) stays matrix-free.
+ASSEMBLED_CSR_BUDGET_BYTES = 64 * 2**20
 
 
 def _battery_grid(battery: KiBaMParameters, delta: float) -> RewardGrid:
@@ -237,6 +248,35 @@ class MultiBatterySystem:
             cells *= grid.n_cells
         return self.workload.n_states * self.n_phases * cells
 
+    def estimated_nonzeros(self, delta: float) -> int:
+        """Upper bound on the entries of the uniformised ``P``, without building anything.
+
+        Each Kronecker term holds at most its factor's non-zeros once per
+        state of the other axes (the absorption mask and the routing
+        weights only remove entries), and ``P`` stores every diagonal
+        slot.  The factor non-zeros follow from the grid sizes: a
+        down-shift on ``(n1 - 1) n2`` cells, a transfer on at most
+        ``(n1 - 2)(n2 - 1)``, and the workload and phase generators'
+        off-diagonal entries on the aux axis.
+        """
+        grids = [_battery_grid(battery, delta) for battery in self.batteries]
+        n_states = self.estimated_states(delta)
+        n_workload = self.workload.n_states
+        n_phases = self.n_phases
+        workload_moves = int(np.count_nonzero(_off_diagonal(self.workload.generator)))
+        phase_moves = int(
+            np.count_nonzero(_off_diagonal(self.policy.phase_generator(self.n_batteries)))
+        )
+        aux_moves = workload_moves * n_phases + n_workload * phase_moves
+        total = n_states + aux_moves * (n_states // (n_workload * n_phases))
+        for grid, battery in zip(grids, self.batteries):
+            n1, n2 = grid.n_levels1, grid.n_levels2
+            moves = (n1 - 1) * n2
+            if grid.two_dimensional and battery.k > 0.0:
+                moves += max(0, n1 - 2) * (n2 - 1)
+            total += moves * (n_states // grid.n_cells)
+        return total
+
     def estimated_lumped_states(self, delta: float) -> int:
         """Quotient-chain size for step *delta* (requires :attr:`lumpable`).
 
@@ -253,13 +293,13 @@ class MultiBatterySystem:
         return self.workload.n_states * math.comb(n_cells + n - 1, n)
 
     def resolve_backend(self, delta: float, backend: str = "auto") -> str:
-        """Resolve ``"auto"`` to a concrete backend from bank size and symmetry.
+        """Resolve ``"auto"`` to a concrete backend from bank symmetry and bytes.
 
         Identical-battery banks under a symmetric policy are lumped (the
         quotient chain is strictly smaller and exact); other banks are
-        assembled while the product space stays within
-        :data:`DEFAULT_ASSEMBLED_STATE_LIMIT` states and solved matrix-free
-        beyond that.
+        assembled while one CSR copy of ``P`` (bounded by
+        :meth:`estimated_nonzeros`) fits :data:`ASSEMBLED_CSR_BUDGET_BYTES`
+        and solved matrix-free beyond that.
         """
         if backend != "auto":
             if backend not in BACKENDS:
@@ -270,7 +310,10 @@ class MultiBatterySystem:
             return backend
         if self.lumpable:
             return "lumped"
-        if self.estimated_states(delta) <= DEFAULT_ASSEMBLED_STATE_LIMIT:
+        matrix_bytes = assembled_csr_bytes(
+            self.estimated_nonzeros(delta), self.estimated_states(delta)
+        )
+        if matrix_bytes <= ASSEMBLED_CSR_BUDGET_BYTES:
             return "assembled"
         return "matrix-free"
 
@@ -359,9 +402,11 @@ class MultiBatterySystem:
         """Build the product-space CTMC for step size *delta* (As).
 
         *backend* selects the realisation (see the module docstring):
-        ``"assembled"`` (CSR), ``"matrix-free"`` (operator), ``"lumped"``
-        (the exact symmetry quotient; its own state space and result
-        type), or ``"auto"`` (resolved via :meth:`resolve_backend`).
+        ``"assembled"`` and ``"matrix-free"`` (both the Kronecker operator;
+        the chain's ``backend`` tells the propagator whether to assemble
+        ``P``), ``"lumped"`` (the exact symmetry quotient; its own state
+        space and result type), or ``"auto"`` (resolved via
+        :meth:`resolve_backend`).
         """
         delta = float(delta)
         if not math.isfinite(delta) or delta <= 0:
@@ -372,12 +417,10 @@ class MultiBatterySystem:
 
             return discretize_lumped(self, delta)
         metadata = self._product_metadata(delta)
-        operator = self._kronecker_generator(metadata, delta)
-        generator = operator.to_csr() if backend == "assembled" else operator
         chain = DiscretizedMultiBatterySystem(
             system=self,
             grids=metadata.grids,
-            generator=generator,
+            generator=self._kronecker_generator(metadata, delta),
             initial_distribution=metadata.initial_distribution,
             empty_states=metadata.empty_states,
             failed_cells=metadata.failed_cells,
@@ -401,7 +444,8 @@ class MultiBatterySystem:
         consumption of a battery into one term per phase, keeping every
         scaling a product of an aux vector and a cell-space array.  The
         matrix-free backend applies these terms as they are; the assembled
-        backend is their :meth:`~KroneckerGenerator.to_csr`.
+        backend writes its ``P`` from them
+        (:meth:`~KroneckerGenerator.uniformized_csr`).
         """
         dims = (metadata.n_aux,) + metadata.cells
         cell_shape = (1,) + metadata.cells
@@ -460,16 +504,16 @@ class DiscretizedMultiBatterySystem:
     ``n_nonzero``), so the engine's workspace, propagator caching and
     batched solves apply unchanged; ``empty_states`` holds the
     *system-failed* absorbing states of the k-of-N predicate.  The
-    ``generator`` is a CSR matrix for the assembled backend and a
-    :class:`~repro.markov.kronecker.KroneckerGenerator` for the
-    matrix-free backend; both expose ``shape``, ``diagonal()`` and ``nnz``
-    (implied, for the operator), so all downstream size and rate
-    diagnostics are backend-uniform.
+    ``generator`` is the :class:`~repro.markov.kronecker.KroneckerGenerator`
+    for both backends; ``backend`` tells the propagator whether to
+    assemble ``P`` as CSR (``"assembled"``) or apply it factor-wise
+    (``"matrix-free"``).  ``n_nonzero`` is the operator's implied count,
+    so size diagnostics are backend-uniform.
     """
 
     system: MultiBatterySystem
     grids: tuple[RewardGrid, ...]
-    generator: sp.csr_matrix | KroneckerGenerator
+    generator: KroneckerGenerator
     initial_distribution: FloatArray
     empty_states: IntArray
     failed_cells: npt.NDArray[np.bool_]
@@ -485,8 +529,8 @@ class DiscretizedMultiBatterySystem:
     def n_nonzero(self) -> int:
         """Number of non-zero generator entries (including the diagonal).
 
-        For the matrix-free backend this is the size the *assembled*
-        generator would have -- the operator's memory footprint is the
-        diagonal plus the factor matrices and scalings.
+        The size the *assembled* generator would have (the operator's
+        implied count); the operator itself holds only the diagonal, the
+        factor matrices and the scalings.
         """
         return int(self.generator.nnz)

@@ -58,8 +58,8 @@ def random_generators(draw):
     return matrix
 
 
-def two_battery_chains():
-    """One small bank discretised both assembled and matrix-free."""
+def two_battery_chain():
+    """One small matrix-free bank and its generator assembled as CSR."""
     workload = WorkloadModel(
         state_names=("busy", "idle"),
         generator=np.array([[-0.02, 0.02], [0.02, -0.02]]),
@@ -73,10 +73,8 @@ def two_battery_chains():
         policy=get_policy("static-split"),
         failures_to_die=1,
     )
-    delta = battery.available_capacity / 4.0
-    return system.discretize(delta, backend="assembled"), system.discretize(
-        delta, backend="matrix-free"
-    )
+    chain = system.discretize(battery.available_capacity / 4.0, backend="matrix-free")
+    return chain, chain.generator.to_csr()
 
 
 # ----------------------------------------------------------------------
@@ -151,11 +149,12 @@ class TestKernelEquivalence:
 # ----------------------------------------------------------------------
 class TestMatrixFreeKernels:
     def test_matrix_free_chain_forces_scipy_and_matches_assembled(self):
-        assembled, matrix_free = two_battery_chains()
-        alpha = np.asarray(assembled.initial_distribution, dtype=float)
+        matrix_free, assembled = two_battery_chain()
+        alpha = np.asarray(matrix_free.initial_distribution, dtype=float)
         times = np.array([200.0, 800.0, 2000.0])
-        reference = TransientPropagator(assembled.generator).transient_batch(alpha, times)
+        reference = TransientPropagator(assembled).transient_batch(alpha, times)
         operator_side = TransientPropagator(matrix_free.generator)
+        assert operator_side.is_matrix_free
         np.testing.assert_allclose(
             operator_side.transient_batch(alpha, times).values,
             reference.values,
@@ -163,15 +162,15 @@ class TestMatrixFreeKernels:
         )
 
     def test_fused_operator_matches_unfused_and_assembled(self):
-        assembled, matrix_free = two_battery_chains()
+        matrix_free, assembled = two_battery_chain()
         generator = matrix_free.generator
-        rate = 1.001 * float(np.max(-assembled.generator.diagonal()))
+        rate = 1.001 * float(np.max(-assembled.diagonal()))
         fused = UniformizedOperator(generator, rate, fused=True)
         unfused = UniformizedOperator(generator, rate, fused=False)
         assert fused.fused and not unfused.fused
         rng = np.random.default_rng(11)
         block = rng.random((3, generator.shape[0]))
-        explicit = block + (block @ assembled.generator) / rate
+        explicit = block + (block @ assembled) / rate
         np.testing.assert_allclose(block @ fused, explicit, atol=1e-12)
         np.testing.assert_allclose(block @ unfused, explicit, atol=1e-12)
 

@@ -1,17 +1,21 @@
 """Tests of the matrix-free product chains and the symmetry lumping.
 
 Covers the :class:`~repro.markov.kronecker.KroneckerGenerator` operator
-(hypothesis property test against the assembled Kronecker CSR on random
-small banks), the exactness of the permutation-symmetry quotient (lumped
-lifetime CDF equal to the unlumped one to ``1e-10``), the uniformisation
-fast path on operators, and the engine's backend resolution, caching and
-fingerprint behaviour.
+(hypothesis property test of its factor-wise apply against its CSR
+assembly on random small banks), the assembled ``P`` (memory peak, the
+one matrix a solve holds, the stochastic-matrix check), the exactness of
+the permutation-symmetry quotient (lumped lifetime CDF equal to the
+unlumped one to ``1e-10``), the uniformisation fast path on operators,
+and the engine's backend resolution, caching and fingerprint behaviour.
 """
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +33,7 @@ from repro.markov.kronecker import (
     assembled_csr_bytes,
 )
 from repro.markov.uniformization import TransientPropagator
+from repro.markov.validate import ValidationError, check_uniformized
 from repro.multibattery import (
     MultiBatteryProblem,
     MultiBatterySystem,
@@ -41,6 +46,7 @@ from repro.multibattery.lumping import (
     enumerate_configurations,
 )
 from repro.multibattery.policies import get_policy
+from repro.multibattery.system import ASSEMBLED_CSR_BUDGET_BYTES
 from repro.workload.base import WorkloadModel
 
 
@@ -87,7 +93,7 @@ class TestKroneckerOperator:
     def test_matrix_free_apply_matches_assembled_csr(
         self, n_batteries, c, policy_name, failures, levels, seed
     ):
-        """Property: ``v @ Q`` agrees between the operator and the CSR."""
+        """Property: ``v @ Q`` agrees between the operator and its CSR assembly."""
         rng = np.random.default_rng(seed)
         if policy_name == "skewed":
             policy = get_policy(
@@ -112,17 +118,18 @@ class TestKroneckerOperator:
         assert matrix_free.backend == "matrix-free"
         assert isinstance(matrix_free.generator, KroneckerGenerator)
         assert matrix_free.n_states == assembled.n_states
+        csr = matrix_free.generator.to_csr()
         block = rng.random((3, assembled.n_states))
-        expected = block @ assembled.generator
+        expected = block @ csr
         actual = matrix_free.generator.apply(block)
         scale = max(1.0, float(np.abs(expected).max()))
         assert np.abs(actual - expected).max() <= 1e-12 * scale
         assert (
-            np.abs(matrix_free.generator.diagonal() - assembled.generator.diagonal()).max()
+            np.abs(matrix_free.generator.diagonal() - csr.diagonal()).max()
             <= 1e-12 * scale
         )
         # The implied entry count matches the truly assembled matrix.
-        trimmed = assembled.generator.copy()
+        trimmed = csr.copy()
         trimmed.eliminate_zeros()
         assert matrix_free.generator.nnz == trimmed.nnz
         # Initial vectors and absorbing sets are backend-independent.
@@ -144,21 +151,119 @@ class TestKroneckerOperator:
             v @ uniformized, v + operator.apply(v) / rate, rtol=1e-15, atol=1e-15
         )
         assert uniformized.shape == operator.shape
-        assembled = system.discretize(delta, backend="assembled")
         assert exit_rates(operator).max() == pytest.approx(
-            exit_rates(assembled.generator).max()
+            exit_rates(operator.to_csr()).max()
         )
 
     def test_to_csr_round_trip_and_memory_guard(self):
-        system, delta = small_bank_system(2, "static-split")
+        """The CSR assemblies hold what the factor-wise apply does to unit vectors."""
+        system, delta = small_bank_system(2, "round-robin")
         chain = system.discretize(delta, backend="matrix-free")
-        assembled = system.discretize(delta, backend="assembled").generator.copy()
-        assembled.eliminate_zeros()
-        rebuilt = chain.generator.to_csr()
-        assert np.abs((rebuilt - assembled)).max() <= 1e-12
+        operator = chain.generator
+        identity = np.eye(chain.n_states)
+        applied = operator.apply(identity)
+        rebuilt = operator.to_csr()
+        assert rebuilt.has_canonical_format
+        assert rebuilt.nnz == operator.nnz == np.count_nonzero(applied)
+        np.testing.assert_allclose(rebuilt.toarray(), applied, rtol=0, atol=1e-15)  # repro-lint: allow RPR001 (small test chain)
+        rate = 1.02 * exit_rates(operator).max()
+        uniformized = operator.uniformized_csr(rate)
+        diagonal = operator.diagonal()
+        assert uniformized.nnz == operator.nnz - np.count_nonzero(diagonal) + chain.n_states
+        np.testing.assert_allclose(
+            uniformized.toarray(), identity + applied / rate, rtol=0, atol=1e-15  # repro-lint: allow RPR001 (small test chain)
+        )
         with pytest.raises(MemoryError):
-            chain.generator.to_csr(max_bytes=8)
-        assert assembled_csr_bytes(chain.generator.nnz, chain.n_states) > 0
+            operator.to_csr(max_bytes=8)
+        assert assembled_csr_bytes(operator.nnz, chain.n_states) > 0
+
+    def test_assembly_handles_multi_factor_and_overlapping_terms(self):
+        """Every term the operator accepts: several factors, shared targets."""
+        rng = np.random.default_rng(3)
+        dims = (3, 4, 5)
+
+        def factor(size, density):
+            dense = rng.random((size, size)) * (rng.random((size, size)) < density)
+            np.fill_diagonal(dense, 0.0)
+            return sp.csr_matrix(dense)
+
+        shift = sp.eye(4, k=-1, format="csr")
+        terms = [
+            KroneckerTerm(
+                factors=((0, factor(3, 0.6)), (2, factor(5, 0.5))),
+                scales=(rng.random((3, 1, 1)), rng.random((1, 4, 5))),
+            ),
+            KroneckerTerm(factors=((1, shift),), scales=(rng.random((4, 1)),)),
+            KroneckerTerm(factors=((1, shift * 2.0),)),
+            KroneckerTerm(factors=((2, factor(5, 0.4)),), scales=(np.full(1, 0.5),)),
+        ]
+        operator = KroneckerGenerator(dims, terms)
+        identity = np.eye(operator.shape[0])
+        applied = operator.apply(identity)
+        np.testing.assert_allclose(operator.to_csr().toarray(), applied, atol=1e-15)  # repro-lint: allow RPR001 (60-state test operator)
+        rate = 1.5 * exit_rates(operator).max()
+        uniformized = operator.uniformized_csr(rate)
+        np.testing.assert_allclose(
+            uniformized.toarray(), identity + applied / rate, atol=1e-15  # repro-lint: allow RPR001 (60-state test operator)
+        )
+        check_uniformized(uniformized, operator, mode="strict")
+
+    def test_assembled_bank_holds_one_lean_p(self):
+        """An assembled solve holds one n x n matrix, written near its own bytes."""
+        battery = KiBaMParameters(capacity=60.0, c=0.625, k=1e-3)
+        problem = MultiBatteryProblem(
+            workload=busy_idle_workload(),
+            batteries=(battery, battery),
+            times=np.linspace(0.0, 2000.0, 5),
+            delta=battery.available_capacity / 14,
+            policy="round-robin",
+            failures_to_die=1,
+            backend="assembled",
+        )
+        workspace = SolveWorkspace()
+        solve_lifetime(problem, "mrm-uniformization", workspace=workspace)
+        (chain,) = workspace.chains.values()
+        (propagator,) = workspace.propagators.values()
+        n = chain.n_states
+        assert n >= 50_000, "the property is about large chains"
+        held = {
+            id(value): value
+            for owner in (chain, propagator, propagator._kernel)
+            for value in vars(owner).values()
+            if getattr(value, "shape", None) == (n, n)
+        }
+        matrices = [value for value in held.values() if sp.issparse(value)]
+        assert matrices == [propagator.probability_matrix]
+        assert not propagator.is_matrix_free
+        assert propagator.generator is chain.generator
+        assert isinstance(chain.generator, KroneckerGenerator)
+
+        # P is written into arrays allocated once: no second full-size copy.
+        tracemalloc.start()
+        try:
+            matrix = chain.generator.uniformized_csr(propagator.rate)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        final = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+        assert final == assembled_csr_bytes(matrix.nnz, n)
+        assert peak <= 1.25 * final, f"peak {peak} B is {peak / final:.2f}x the {final} B of P"
+
+    def test_tampered_probability_matrix_fails_the_check(self):
+        system, delta = small_bank_system(2, "best-of")
+        operator = system.discretize(delta, backend="assembled").generator
+        matrix = operator.uniformized_csr(1.02 * exit_rates(operator).max())
+        check_uniformized(matrix, operator, mode="strict")
+        row = 7
+        tampered = matrix.copy()
+        tampered.data[tampered.indptr[row]] += 0.25
+        with pytest.raises(ValidationError, match=f"row {row} "):
+            check_uniformized(tampered, operator, mode="strict")
+        negative = matrix.copy()
+        negative.data[negative.indptr[row]] = -0.1
+        with pytest.raises(ValidationError, match=f"row {row} "):
+            check_uniformized(negative, operator, mode="strict")
+        check_uniformized(tampered, operator, mode="off")
 
     def test_operator_validation_rejects_bad_structure(self):
         with pytest.raises(GeneratorError):
@@ -193,9 +298,28 @@ class TestKroneckerOperator:
         projection = np.zeros(assembled.n_states)
         projection[assembled.empty_states] = 1.0
 
-        reference = TransientPropagator(assembled.generator, validate=False)
+        reference = TransientPropagator(matrix_free.generator.to_csr(), validate=False)
         operator = TransientPropagator(matrix_free.generator)
         assert operator.is_matrix_free and not reference.is_matrix_free
+        # The assembled bank's production propagator holds P as CSR.
+        assembled_side = SolveWorkspace().propagator(assembled, ("bank", "assembled"))
+        assert not assembled_side.is_matrix_free
+        assert sp.issparse(assembled_side.probability_matrix)
+        np.testing.assert_allclose(
+            assembled_side.transient_batch(
+                assembled.initial_distribution[None, :],
+                times,
+                epsilon=1e-10,
+                projection=projection,
+            ).values,
+            reference.transient_batch(
+                assembled.initial_distribution[None, :],
+                times,
+                epsilon=1e-10,
+                projection=projection,
+            ).values,
+            atol=1e-12,
+        )
 
         solved_ref = reference.transient_batch(
             assembled.initial_distribution[None, :],
@@ -254,7 +378,7 @@ class TestLumping:
             exit_rates(full.generator).max(), rel=1e-12
         )
 
-        cdf_full = TransientPropagator(full.generator, validate=False).transient_batch(
+        cdf_full = SolveWorkspace().propagator(full, ("full",)).transient_batch(
             full.initial_distribution[None, :],
             times,
             epsilon=1e-12,
@@ -293,7 +417,7 @@ class TestLumping:
         times = np.linspace(0.0, float(rng.uniform(2000.0, 6000.0)), 9)
         full = system.discretize(delta, backend="assembled")
         lumped = system.discretize(delta, backend="lumped")
-        cdf_full = TransientPropagator(full.generator, validate=False).transient_batch(
+        cdf_full = SolveWorkspace().propagator(full, ("full",)).transient_batch(
             full.initial_distribution[None, :],
             times,
             epsilon=1e-12,
@@ -391,16 +515,55 @@ class TestBackendDispatch:
             **kwargs,
         )
 
+    def _p_bytes(self, problem):
+        system = problem.model()
+        delta = problem.effective_delta
+        return assembled_csr_bytes(
+            system.estimated_nonzeros(delta), system.estimated_states(delta)
+        )
+
     def test_auto_backend_resolution(self):
         # Identical bank + symmetric policy: lumped.
         assert self._problem().resolved_backend() == "lumped"
-        # Phase-clocked policy breaks the symmetry: small chain assembles.
-        clocked = self._problem(policy="round-robin")
-        assert clocked.resolved_backend() == "assembled"
-        # Beyond the assembled budget, non-lumpable banks go matrix-free.
-        huge = self._problem(n_batteries=3, levels=24, policy="round-robin")
-        assert huge.estimated_mrm_states() > 200_000
-        assert huge.resolved_backend() == "matrix-free"
+        # Phase-clocked policy breaks the symmetry: a bank assembles while
+        # one CSR copy of its P fits the byte budget (arithmetic only --
+        # nothing is built) ...
+        fits = self._problem(levels=26, policy="round-robin")
+        assert fits.estimated_mrm_states() > 200_000
+        assert self._p_bytes(fits) <= ASSEMBLED_CSR_BUDGET_BYTES
+        assert fits.resolved_backend() == "assembled"
+        # ... and goes matrix-free beyond it.
+        over = self._problem(levels=27, policy="round-robin")
+        assert self._p_bytes(over) > ASSEMBLED_CSR_BUDGET_BYTES
+        assert over.resolved_backend() == "matrix-free"
+        # The benchmark's 232,560-state bank assembles (16.3 MiB); the
+        # 1,062,882-state bank of bench_matrixfree.py would not (75.2 MiB).
+        workload = busy_idle_workload(0.5, 0.3)
+        mixed = MultiBatterySystem(
+            workload=workload,
+            batteries=tuple(
+                KiBaMParameters(capacity=capacity, c=1.0, k=0.0)
+                for capacity in (150.0, 160.0, 170.0, 180.0)
+            ),
+            policy="static-split",
+            failures_to_die=4,
+        )
+        delta = 150.0 / 16
+        assert mixed.estimated_states(delta) == 232_560
+        p_bytes = assembled_csr_bytes(mixed.estimated_nonzeros(delta), 232_560)
+        assert p_bytes / 2**20 == pytest.approx(16.3, abs=0.05)
+        assert mixed.resolve_backend(delta) == "assembled"
+        identical = MultiBatterySystem(
+            workload=workload,
+            batteries=(KiBaMParameters(capacity=150.0, c=1.0, k=0.0),) * 4,
+            policy="static-split",
+            failures_to_die=4,
+        )
+        delta = 150.0 / 26
+        assert identical.estimated_states(delta) == 1_062_882
+        p_bytes = assembled_csr_bytes(identical.estimated_nonzeros(delta), 1_062_882)
+        assert p_bytes / 2**20 == pytest.approx(75.2, abs=0.05)
+        assert p_bytes > ASSEMBLED_CSR_BUDGET_BYTES
         # Explicit pins are honoured.
         assert self._problem(backend="matrix-free").resolved_backend() == "matrix-free"
         with pytest.raises(ValueError):
@@ -414,15 +577,26 @@ class TestBackendDispatch:
         assert lumped.resolved_backend() == "lumped"
         assert lumped.estimated_backend_states() < 200_000
         assert choose_method(lumped) == "mrm-uniformization"
-        # Matrix-free banks get the larger budget...
+        # Every other bank gets the larger product-state budget, whichever
+        # backend applies P: assembled (P fits the byte budget) ...
         clocked = self._problem(levels=24, policy="round-robin")
-        assert clocked.resolved_backend() == "matrix-free"
+        assert clocked.resolved_backend() == "assembled"
         assert 200_000 < clocked.estimated_backend_states() <= 2_000_000
         assert choose_method(clocked) == "mrm-uniformization"
-        # ...but beyond it the dispatch still falls back to simulation.
+        # ... or matrix-free ...
+        wide = self._problem(levels=30, policy="round-robin")
+        assert wide.resolved_backend() == "matrix-free"
+        assert 200_000 < wide.estimated_backend_states() <= 2_000_000
+        assert choose_method(wide) == "mrm-uniformization"
+        # ... and pinning the backend does not change the method.
+        for backend in ("assembled", "matrix-free"):
+            assert choose_method(clocked.with_backend(backend)) == "mrm-uniformization"
+            assert choose_method(wide.with_backend(backend)) == "mrm-uniformization"
+        # Beyond the budget the dispatch still falls back to simulation.
         vast = self._problem(levels=64, policy="round-robin")
         assert vast.estimated_backend_states() > 2_000_000
         assert choose_method(vast) == "monte-carlo"
+        assert choose_method(vast.with_backend("assembled")) == "monte-carlo"
 
     def test_backends_agree_through_the_engine(self):
         workspace = SolveWorkspace()
@@ -444,6 +618,35 @@ class TestBackendDispatch:
         # The lumped chain is the smallest build.
         sizes = {key[-1]: chain.n_states for key, chain in workspace.chains.items()}
         assert sizes[("backend", "lumped")] < sizes[("backend", "assembled")]
+
+        # The benchmark's solve-bank shape (four different batteries, c = 1,
+        # static-split) at a coarser step: the assembled P and the
+        # factor-wise apply run the same products and agree to 1e-12.
+        bank = MultiBatteryProblem(
+            workload=busy_idle_workload(0.5, 0.3),
+            batteries=tuple(
+                KiBaMParameters(capacity=capacity, c=1.0, k=0.0)
+                for capacity in (150.0, 160.0, 170.0, 180.0)
+            ),
+            times=np.linspace(150.0, 2700.0, 18),
+            delta=150.0 / 8,
+            policy="static-split",
+        )
+        assert bank.resolved_backend() == "assembled"
+        solved = {
+            backend: solve_lifetime(bank.with_backend(backend), "mrm-uniformization")
+            for backend in ("assembled", "matrix-free")
+        }
+        assert (
+            solved["assembled"].diagnostics["iterations"]
+            == solved["matrix-free"].diagnostics["iterations"]
+        )
+        np.testing.assert_allclose(
+            solved["assembled"].distribution.probabilities,
+            solved["matrix-free"].distribution.probabilities,
+            rtol=0,
+            atol=1e-12,
+        )
 
     def test_merge_keys_and_fingerprints(self):
         pinned_assembled = self._problem(backend="assembled")

@@ -204,6 +204,17 @@ class TestProductAssembly:
         )
         np.testing.assert_array_equal(chain.initial_distribution, initial)
         np.testing.assert_array_equal(np.sort(chain.empty_states), failed_states)
+        # The production P of the assembled backend: I + Q_enum / q.
+        propagator = SolveWorkspace().propagator(chain, ("bank", chain.backend))
+        assert chain.backend == "assembled" and not propagator.is_matrix_free
+        probability = propagator.probability_matrix
+        np.testing.assert_allclose(
+            dense_fallback(probability),
+            np.eye(chain.n_states) + generator / propagator.rate,
+            atol=1e-12,
+            rtol=1e-12,
+        )
+        assert probability.nnz <= system.estimated_nonzeros(delta)
 
     def test_single_battery_product_chain_matches_discretize(self):
         """With N = 1 the product chain degenerates to the paper's expanded CTMC."""
