@@ -188,9 +188,10 @@ def _incremental_cdf(apply, initial, times, rate, epsilon, projection):
 
     Mirrors ``TransientPropagator._incremental`` step for step -- same
     per-segment epsilon split, same budgeted steady-state tolerance, same
-    shared segment loop -- so two operators run through it (or one through
-    it and one through the production propagator) differ only by the
-    rounding of the apply itself, never by window bookkeeping.
+    shared segment loop on the same 1-D iterate -- so two operators run
+    through it (or one through it and one through the production
+    propagator) differ only by the rounding of the apply itself, never by
+    window bookkeeping.  *apply* maps ``(K, n)`` rows.
     """
     unique_times = np.unique(np.asarray(times, dtype=float))
     n_times = unique_times.size
@@ -206,8 +207,13 @@ def _incremental_cdf(apply, initial, times, rate, epsilon, projection):
     )
     products_after = np.concatenate((np.cumsum(planned[::-1])[::-1][1:], [0]))
 
+    def step(v):
+        # The loop's iterates are state-major: a (1, n) row would turn its
+        # 1-norm over states into a max-norm and collapse segments early.
+        return apply(v[None, :])[0]
+
     cdf = np.zeros(n_times)
-    current = np.atleast_2d(np.asarray(initial, dtype=float)).copy()
+    current = np.asarray(initial, dtype=float).copy()
     converged = False
     performed = 0
     for j in range(n_times):
@@ -217,14 +223,14 @@ def _incremental_cdf(apply, initial, times, rate, epsilon, projection):
             products_remaining = window.right + int(products_after[j])
             tol = detection_budget / max(1.0, float(products_remaining))
             segment = kernels.segment_python(
-                apply, current, window.weights, window.left, window.right, tol
+                step, current, window.weights, window.left, window.right, tol
             )
             performed += segment.performed
             if segment.status == kernels.SEGMENT_START_INVARIANT:
                 converged = True
             else:
                 current = segment.accumulated
-        cdf[j] = float(current[0] @ projection)
+        cdf[j] = float(current @ projection)
     return cdf, performed
 
 

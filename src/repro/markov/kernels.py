@@ -1,12 +1,15 @@
 """The compute kernel of the uniformisation hot path.
 
 Every transient solve in this library bottoms out in the same inner loop:
-repeated vector--matrix products ``v @ P`` against the uniformised DTMC
-matrix, interleaved with Poisson-weighted accumulation
-``accumulated += w_n * v``.  This module holds that loop:
-:class:`ScipyKernel` evaluates ``v @ P`` through scipy's sparse matmul (or
-a matrix-free operator's ``__rmatmul__``) and runs the segment loop of
-:func:`segment_python` in plain Python/NumPy, keeping the numerics of
+repeated products ``v·P`` with the uniformised DTMC matrix, interleaved
+with Poisson-weighted accumulation ``accumulated += w_n * v``.  This module
+holds that loop.  Its iterates are *state-major*: one start is a 1-D
+``(n,)`` vector and a stack of ``K`` starts is an ``(n, K)`` block, so
+``v·P`` is the matvec ``P.T @ v``.  :class:`ScipyKernel` holds ``P.T``,
+built once -- for a CSR ``P`` a zero-copy CSC view on ``P``'s arrays --
+and evaluates each product as one scipy sparse matvec (or through a
+matrix-free operator's ``apply``); :func:`segment_python` runs the segment
+loop in plain Python/NumPy, keeping the numerics of
 :class:`~repro.markov.uniformization.TransientPropagator` in one place.
 
 The segment runner returns a :class:`SegmentResult` whose ``status``
@@ -23,6 +26,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro.checking.protocols import FloatArray
+from repro.markov.kronecker import is_matrix_free
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.checking.protocols import GeneratorLike
@@ -45,6 +49,9 @@ SEGMENT_TAIL_COLLAPSED = 2
 class SegmentResult:
     """Outcome of one Poisson-window segment run.
 
+    Both arrays have the state-major layout of the segment's input: ``(n,)``
+    for one start, ``(n, K)`` for a stack.
+
     Attributes
     ----------
     accumulated:
@@ -56,7 +63,7 @@ class SegmentResult:
     vector:
         The final power iterate.
     performed:
-        Number of ``v @ P`` products the segment executed.
+        Number of ``v·P`` products the segment executed.
     status:
         One of the ``SEGMENT_*`` constants.
     break_index:
@@ -81,9 +88,11 @@ def segment_python(
 ) -> SegmentResult:
     """The segment loop: one Poisson window of products and accumulation.
 
-    *spmm* evaluates one ``v @ P`` product; the loop body reproduces the
-    historical inline implementation of the incremental transient solver
-    operation-for-operation, so the default pipeline stays bit-identical.
+    *v* is state-major: one start as a 1-D ``(n,)`` vector, or ``K``
+    starts as the columns of an ``(n, K)`` block.  *spmm* evaluates one
+    product ``v·P`` in that layout.  The steady-state step change is the
+    1-norm over states (axis 0), taken per start; detection fires once the
+    largest of them falls below *tol*.
     """
     accumulated = np.zeros_like(v)
     # Reused per-iteration work buffers: the weighted copy of the iterate
@@ -107,7 +116,7 @@ def segment_python(
         if tol > 0.0:
             np.subtract(v_next, v, out=scaled)
             np.abs(scaled, out=scaled)
-            step_change = float(np.max(scaled.sum(axis=1)))
+            step_change = float(np.max(scaled.sum(axis=0)))
             v = v_next
             if step_change < tol:
                 if n == 0:
@@ -129,23 +138,31 @@ def segment_python(
 
 
 class ScipyKernel:
-    """The uniformisation kernel: scipy sparse products, Python segment loop.
+    """The uniformisation kernel: one sparse matvec per product, Python segment loop.
 
-    Also the kernel for matrix-free chains -- ``block @ matrix`` defers to
-    the operator's ``__rmatmul__``, so one implementation covers both.
+    *matrix* is ``P.T`` of a CSR ``P`` -- a CSC view on ``P``'s arrays, so
+    holding it copies nothing -- and ``P.T @ v`` runs the scipy routine
+    that ``v @ P`` runs after building that transpose anew on every call,
+    summing in the same order.  A matrix-free chain's *matrix* is its
+    :class:`~repro.markov.kronecker.UniformizedOperator`, applied to a
+    block's ``(K, n)`` view.
     """
 
     def __init__(self, matrix: GeneratorLike) -> None:
         self._matrix = matrix
+        self._operator = is_matrix_free(matrix)
 
     @property
     def matrix(self) -> GeneratorLike:
-        """The uniformised matrix (CSR) or operator the kernel applies."""
+        """``P.T`` (a CSC view on the CSR ``P``) or the uniformised operator."""
         return self._matrix
 
-    def spmm(self, block: FloatArray) -> FloatArray:
-        """One ``block @ P`` product."""
-        return block @ self._matrix  # type: ignore[operator]
+    def spmm(self, v: FloatArray) -> FloatArray:
+        """One product ``v·P`` on a state-major iterate ``(n,)`` or ``(n, K)``."""
+        if self._operator:
+            apply = self._matrix.apply  # type: ignore[union-attr]
+            return apply(v) if v.ndim == 1 else apply(v.T).T  # type: ignore[no-any-return]
+        return self._matrix @ v  # type: ignore[operator,no-any-return]
 
     def run_segment(
         self,

@@ -33,9 +33,11 @@ vector does not have to.  This module provides
   matrix-free chains.
 
 Both operator classes set ``__array_ufunc__ = None`` and implement
-``__rmatmul__``, so the existing ``block @ matrix`` inner loops of the
-uniformisation code dispatch to the factor-wise application without any
-call-site changes.
+``__rmatmul__``, so ``block @ operator`` dispatches to the factor-wise
+application.  The uniformisation kernel
+(:class:`~repro.markov.kernels.ScipyKernel`) calls
+:meth:`UniformizedOperator.apply` directly, on a 1-D iterate as it is and
+on the ``(K, n)`` view of a state-major ``(n, K)`` block.
 """
 
 from __future__ import annotations

@@ -43,10 +43,12 @@ skipped entirely before the first active window.
 generator, converts it to CSR and uniformises it **once**, so repeated
 solves on the same chain (time grid refinements, parameter sweeps) skip all
 of that per call, and :meth:`~TransientPropagator.transient_batch`
-propagates a whole *stack* of initial distributions in one pass -- the
-dominating sparse matrix products then operate on a ``(K, n)`` block
-instead of ``K`` separate vectors.  A single distribution is a stack of
-one.
+propagates a whole *stack* of initial distributions in one pass.  Both
+loops run on *state-major* iterates: a single distribution is a 1-D
+``(n,)`` vector and a stack of ``K`` is one ``(n, K)`` block, so each
+product ``v·P`` is one sparse matvec ``P.T @ v`` on a transpose the kernel
+holds (:class:`~repro.markov.kernels.ScipyKernel`).  The stack is
+transposed once on entry and each stored time point once on exit.
 """
 
 from __future__ import annotations
@@ -165,7 +167,8 @@ class TransientPropagator:
     converted at this boundary), validation, exit-rate extraction and
     uniformisation -- so that every subsequent :meth:`transient_batch`
     call only pays for the Poisson windows (which are memoised globally)
-    and the vector--matrix products.
+    and the vector--matrix products.  Its kernel holds ``P.T``, for a CSR
+    ``P`` a view on ``P``'s arrays: no second copy, no per-call transpose.
 
     Parameters
     ----------
@@ -242,7 +245,9 @@ class TransientPropagator:
             self._probability_matrix = (
                 sp.identity(n, format="csr") + matrix / self._rate
             ).tocsr()
-        self._kernel = kernels.ScipyKernel(self._probability_matrix)
+        self._kernel = kernels.ScipyKernel(
+            self._probability_matrix if self._matrix_free else self._probability_matrix.T
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -299,10 +304,11 @@ class TransientPropagator:
         return list(shared_poisson_windows(rates, float(epsilon)))
 
     def _allocate(
-        self, n_batch: int, n_times: int, n_states: int, proj: FloatArray | None
+        self, start: FloatArray, n_times: int, proj: FloatArray | None
     ) -> FloatArray:
+        n_batch = 1 if start.ndim == 1 else start.shape[1]
         if proj is None:
-            return np.zeros((n_batch, n_times, n_states))
+            return np.zeros((n_batch, n_times, self.n_states))
         if proj.ndim == 1:
             return np.zeros((n_batch, n_times))
         return np.zeros((n_batch, n_times, proj.shape[1]))
@@ -314,8 +320,9 @@ class TransientPropagator:
         block: FloatArray,
         proj: FloatArray | None,
     ) -> None:
-        """Write the (projected) *block* into the time slot(s) *index*."""
-        results[:, index] = block if proj is None else block @ proj
+        """Write the (projected) state-major *block* into the time slot(s) *index*."""
+        rows = _start_major(block)
+        results[:, index] = rows if proj is None else rows @ proj
 
     def transient_batch(
         self,
@@ -393,11 +400,14 @@ class TransientPropagator:
         # Deduplicate and sort once: repeated time points share one Poisson
         # window, and the incremental chain requires ascending segments.
         unique_times, inverse = np.unique(times_array, return_inverse=True)
+        # The loops run state-major: one start as a vector, K as (n, K).
+        # Neither loop writes to its start, so one start is a view.
+        start = alphas[0] if alphas.shape[0] == 1 else np.ascontiguousarray(alphas.T)
 
         if mode == "single-pass":
-            solved = self._single_pass(alphas, unique_times, epsilon, proj)
+            solved = self._single_pass(start, unique_times, epsilon, proj)
         else:
-            solved = self._incremental(alphas, unique_times, epsilon, proj, steady_state_tol)
+            solved = self._incremental(start, unique_times, epsilon, proj, steady_state_tol)
 
         return BatchTransientResult(
             times=times_array,
@@ -415,13 +425,12 @@ class TransientPropagator:
     # ------------------------------------------------------------------
     def _single_pass(
         self,
-        alphas: FloatArray,
+        start: FloatArray,
         unique_times: FloatArray,
         epsilon: float,
         proj: FloatArray | None,
     ) -> _SolvedGrid:
         """One shared sweep ``v_n = alpha P^n`` feeding every time window."""
-        n_batch = alphas.shape[0]
         windows = self._windows(self._rate, unique_times, epsilon)
         lefts = np.array([window.left for window in windows], dtype=np.int64)
         rights = np.array([window.right for window in windows], dtype=np.int64)
@@ -440,9 +449,9 @@ class TransientPropagator:
         offsets = starts - lefts
         weight_table = np.concatenate([window.weights for window in windows])
 
-        results = self._allocate(n_batch, unique_times.size, self.n_states, proj)
+        results = self._allocate(start, unique_times.size, proj)
         spmm = self._kernel.spmm
-        block = alphas.copy()
+        block = start
         with obs.detail_span("single_pass", max_right=max_right):
             for n in range(max_right + 1):
                 # Projection products (and window updates) are skipped
@@ -451,7 +460,8 @@ class TransientPropagator:
                     active = np.nonzero((lefts <= n) & (n <= rights))[0]
                     if active.size:
                         weights = weight_table[offsets[active] + n]
-                        contribution = block if proj is None else block @ proj
+                        rows = _start_major(block)
+                        contribution = rows if proj is None else rows @ proj
                         if contribution.ndim == 1:
                             results[:, active] += (
                                 contribution[:, None] * weights[None, :]
@@ -472,14 +482,13 @@ class TransientPropagator:
 
     def _incremental(
         self,
-        alphas: FloatArray,
+        start: FloatArray,
         unique_times: FloatArray,
         epsilon: float,
         proj: FloatArray | None,
         steady_state_tol: float | None,
     ) -> _SolvedGrid:
         """Chain segments ``pi(t_{j-1}) -> pi(t_j)`` with steady-state detection."""
-        n_batch = alphas.shape[0]
         n_times = unique_times.size
         # Split the error budget over the chained segments: every segment
         # contributes at most one window truncation to each later time point.
@@ -511,10 +520,10 @@ class TransientPropagator:
                 (np.cumsum(planned_products[::-1])[::-1][1:], [0])
             )
 
-        results = self._allocate(n_batch, n_times, self.n_states, proj)
+        results = self._allocate(start, n_times, proj)
         truncation_error = np.zeros(n_times)
 
-        current = alphas.copy()
+        current = start
         converged = False
         performed = 0
         saved = 0
@@ -593,6 +602,16 @@ class TransientPropagator:
             steady_state_time=steady_state_time,
             steady_state_iteration=steady_state_iteration,
         )
+
+
+def _start_major(block: FloatArray) -> FloatArray:
+    """The ``(K, n)`` rows of a state-major iterate (1-D: ``K = 1``).
+
+    A stacked block is copied back to C order once per stored time point:
+    ``rows @ proj`` on the strided view would take BLAS's column-major
+    product, which sums the states in another order.
+    """
+    return block[None, :] if block.ndim == 1 else np.ascontiguousarray(block.T)
 
 
 @dataclass

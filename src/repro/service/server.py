@@ -127,8 +127,12 @@ class LifetimeService:
     so stored results never depend on which queries happened to arrive
     earlier -- the same coherence rule the sweep workers follow.
 
-    Solves are serialised on an internal lock: the warm workspace's
-    propagators reuse scratch buffers and are not re-entrant.  Requests
+    Solves are serialised on an internal lock.  Propagators and kernels
+    keep no state between calls; the lock guards the warm workspace the
+    solves share -- its check-then-build chain, propagator and projection
+    caches (two concurrent misses on one key would both build the chain
+    and its ``P``) and its build counters.  The solve path holds the GIL,
+    so solving on two threads would not be faster anyway.  Requests
     answered from the store or by coalescing never take that lock.
     """
 

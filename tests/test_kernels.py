@@ -1,7 +1,9 @@
 """Tests of the uniformisation compute kernel.
 
 Covers :mod:`repro.markov.kernels` -- the segment loop's steady-state
-detection contract, a hypothesis property test that both transient modes
+detection contract on state-major iterates, the held transpose that keeps
+every product free of sparse-matrix construction, a hypothesis property
+test that both transient modes
 compute the same law on random chains, the matrix-free product-chain
 operators against the assembled chain, the shared Poisson window table
 and the per-workspace Poisson cache accounting.
@@ -11,8 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse._compressed import _cs_matrix
 
 from repro import obs
 from repro.battery.parameters import KiBaMParameters
@@ -23,7 +27,7 @@ from repro.markov.kernels import (
     SEGMENT_COMPLETED,
     SEGMENT_START_INVARIANT,
     SEGMENT_TAIL_COLLAPSED,
-    segment_python,
+    ScipyKernel,
 )
 from repro.markov.kronecker import UniformizedOperator
 from repro.markov.poisson import (
@@ -78,8 +82,23 @@ def two_battery_chain():
 
 
 # ----------------------------------------------------------------------
-# The segment loop's detection contract.
+# The segment loop's detection contract, on state-major iterates.
 # ----------------------------------------------------------------------
+def _held(matrix):
+    """The kernel of a dense row-stochastic *matrix*, holding its CSR's transpose."""
+    return ScipyKernel(sp.csr_matrix(matrix).T)
+
+
+def _lazy_cycle(n: int = 4, move: float = 0.01):
+    """Stay put, or move one state along a cycle with probability *move*.
+
+    Doubly stochastic, so the uniform law is invariant; an alternating
+    start keeps its pattern and loses a fraction ``2 * move`` of its
+    amplitude per step.
+    """
+    return (1.0 - move) * np.eye(n) + move * np.roll(np.eye(n), 1, axis=1)
+
+
 class TestSegmentLoop:
     def _mixture(self, matrix, v, weights, left, right):
         expected = np.zeros_like(v)
@@ -87,28 +106,28 @@ class TestSegmentLoop:
         for n in range(right + 1):
             if n >= left:
                 expected += weights[n - left] * power
-            power = power @ matrix
+            power = matrix.T @ power
         return expected
 
     def test_completed_segment_is_the_poisson_mixture(self):
         rng = np.random.default_rng(3)
         matrix = rng.random((4, 4))
         matrix /= matrix.sum(axis=1, keepdims=True)
-        v = rng.random((2, 4))
+        v = rng.random((4, 2))
         weights = np.array([0.1, 0.2, 0.3, 0.25, 0.15])
-        result = segment_python(lambda b: b @ matrix, v, weights, 2, 6, 0.0)
+        result = _held(matrix).run_segment(v, weights, 2, 6, 0.0)
         assert result.status == SEGMENT_COMPLETED
         assert result.performed == 6
         assert result.break_index == 6
+        assert result.accumulated.shape == result.vector.shape == (4, 2)
         np.testing.assert_allclose(
             result.accumulated, self._mixture(matrix, v, weights, 2, 6), atol=1e-14
         )
 
     def test_invariant_start_is_flagged_without_accumulating(self):
-        matrix = np.eye(3)
-        v = np.array([[0.2, 0.3, 0.5]])
+        v = np.array([0.2, 0.3, 0.5])
         weights = np.full(5, 0.2)
-        result = segment_python(lambda b: b @ matrix, v, weights, 0, 4, 1e-9)
+        result = _held(np.eye(3)).run_segment(v, weights, 0, 4, 1e-9)
         assert result.status == SEGMENT_START_INVARIANT
         assert result.break_index == 0
         assert result.performed == 1
@@ -119,13 +138,69 @@ class TestSegmentLoop:
         # remaining Poisson mass is exact.
         matrix = np.zeros((3, 3))
         matrix[:, 0] = 1.0
-        v = np.array([[0.1, 0.4, 0.5]])
+        v = np.array([0.1, 0.4, 0.5])
         weights = np.full(8, 0.125)
-        lazy = segment_python(lambda b: b @ matrix, v, weights, 0, 7, 1e-9)
-        full = segment_python(lambda b: b @ matrix, v, weights, 0, 7, 0.0)
+        lazy = _held(matrix).run_segment(v, weights, 0, 7, 1e-9)
+        full = _held(matrix).run_segment(v, weights, 0, 7, 0.0)
         assert lazy.status == SEGMENT_TAIL_COLLAPSED
         assert lazy.performed < full.performed
+        assert lazy.accumulated.shape == (3,)
         np.testing.assert_allclose(lazy.accumulated, full.accumulated, atol=1e-14)
+
+    def test_vector_change_is_judged_by_its_one_norm(self):
+        # Each of the 4 states changes by 0.003 in the first step and the
+        # 1-norm by 0.012: a per-state (max-norm) test would collapse.
+        v = np.array([0.4, 0.1, 0.4, 0.1])
+        weights = np.full(7, 1.0 / 7.0)
+        tol = 0.006
+        first_step = np.abs(_lazy_cycle().T @ v - v)
+        assert first_step.max() < tol < first_step.sum()
+        result = _held(_lazy_cycle()).run_segment(v, weights, 0, 6, tol)
+        assert result.status == SEGMENT_COMPLETED
+        assert result.performed == 6
+        np.testing.assert_allclose(
+            result.accumulated, self._mixture(_lazy_cycle(), v, weights, 0, 6), atol=1e-14
+        )
+
+    def test_block_change_is_the_largest_start_norm(self):
+        # Column 0 is invariant, column 1 is not: the block must neither be
+        # flagged invariant (min over starts) nor collapse on the per-state
+        # change summed across starts (the norm over the wrong axis).
+        block = np.column_stack(([0.25] * 4, [0.4, 0.1, 0.4, 0.1]))
+        weights = np.full(7, 1.0 / 7.0)
+        tol = 0.006
+        result = _held(_lazy_cycle()).run_segment(block, weights, 0, 6, tol)
+        assert result.status == SEGMENT_COMPLETED
+        assert result.performed == 6
+        full = _held(_lazy_cycle()).run_segment(block, weights, 0, 6, 0.0)
+        np.testing.assert_array_equal(result.accumulated, full.accumulated)
+        np.testing.assert_allclose(result.accumulated[:, 0], 0.25, atol=1e-15)
+
+
+# ----------------------------------------------------------------------
+# The held transpose: no sparse matrix is built per product.
+# ----------------------------------------------------------------------
+class TestHeldTranspose:
+    @pytest.mark.parametrize("n_starts", [1, 2])
+    def test_products_construct_no_sparse_matrix(self, monkeypatch, n_starts):
+        generator = _lazy_cycle(50, 0.3) - np.eye(50)
+        propagator = TransientPropagator(sp.csr_matrix(generator))
+        alphas = np.zeros((n_starts, 50))
+        alphas[:, :n_starts] = np.eye(n_starts)
+        given = alphas.copy()
+        built = []
+        original = _cs_matrix.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(_cs_matrix, "__init__", counted)
+        result = propagator.transient_batch(alphas, [5.0, 20.0])
+        assert result.iterations > 0
+        assert result.values.shape == (n_starts, 2, 50)
+        assert built == []
+        np.testing.assert_array_equal(alphas, given)
 
 
 # ----------------------------------------------------------------------
@@ -152,14 +227,17 @@ class TestMatrixFreeKernels:
         matrix_free, assembled = two_battery_chain()
         alpha = np.asarray(matrix_free.initial_distribution, dtype=float)
         times = np.array([200.0, 800.0, 2000.0])
-        reference = TransientPropagator(assembled).transient_batch(alpha, times)
         operator_side = TransientPropagator(matrix_free.generator)
         assert operator_side.is_matrix_free
-        np.testing.assert_allclose(
-            operator_side.transient_batch(alpha, times).values,
-            reference.values,
-            atol=1e-10,
-        )
+        # One start runs 1-D iterates, a stacked pair an (n, 2) block.
+        pair = np.stack((alpha, np.full(alpha.size, 1.0 / alpha.size)))
+        for starts in (alpha, pair):
+            reference = TransientPropagator(assembled).transient_batch(starts, times)
+            np.testing.assert_allclose(
+                operator_side.transient_batch(starts, times).values,
+                reference.values,
+                atol=1e-10,
+            )
 
     def test_fused_operator_matches_unfused_and_assembled(self):
         matrix_free, assembled = two_battery_chain()

@@ -209,7 +209,11 @@ class TestKroneckerOperator:
         check_uniformized(uniformized, operator, mode="strict")
 
     def test_assembled_bank_holds_one_lean_p(self):
-        """An assembled solve holds one n x n matrix, written near its own bytes."""
+        """An assembled solve stores one n x n matrix, written near its own bytes.
+
+        The kernel holds ``P.T``, a view on ``P``'s arrays: every n x n
+        matrix held anywhere must share ``P``'s storage.
+        """
         battery = KiBaMParameters(capacity=60.0, c=0.625, k=1e-3)
         problem = MultiBatteryProblem(
             workload=busy_idle_workload(),
@@ -233,7 +237,11 @@ class TestKroneckerOperator:
             if getattr(value, "shape", None) == (n, n)
         }
         matrices = [value for value in held.values() if sp.issparse(value)]
-        assert matrices == [propagator.probability_matrix]
+        p_matrix = propagator.probability_matrix
+        assert any(matrix is p_matrix for matrix in matrices)
+        for matrix in matrices:
+            assert np.shares_memory(matrix.data, p_matrix.data)
+            assert np.shares_memory(matrix.indices, p_matrix.indices)
         assert not propagator.is_matrix_free
         assert propagator.generator is chain.generator
         assert isinstance(chain.generator, KroneckerGenerator)
