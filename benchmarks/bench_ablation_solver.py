@@ -11,17 +11,18 @@ performance-critical paths.
 
 import numpy as np
 
+from repro.api import LifetimeProblem, SolveWorkspace
 from repro.battery.parameters import rao_battery_parameters
 from repro.core.discretization import discretize
 from repro.core.kibamrm import KiBaMRM
-from repro.engine import LifetimeProblem, SolveWorkspace, solve_lifetime
-from repro.markov.poisson import poisson_weights
+from repro.engine.registry import solve_lifetime
+from repro.markov.poisson import fox_glynn
 from repro.workload.onoff import onoff_workload
 from repro.workload.simple import simple_workload
 
 
 def test_poisson_weights_large_rate(benchmark):
-    weights = benchmark(poisson_weights, 40000.0, 1e-10)
+    weights = benchmark(fox_glynn, 40000.0, 1e-10)
     assert abs(weights.total - 1.0) < 1e-8
 
 

@@ -14,8 +14,9 @@ import time
 import numpy as np
 import pytest
 
+from repro.api import LifetimeProblem, ScenarioBatch
 from repro.battery.parameters import KiBaMParameters
-from repro.engine import LifetimeProblem, ScenarioBatch, solve_lifetime
+from repro.engine.registry import solve_lifetime
 from repro.markov.poisson import cached_poisson_weights
 from repro.workload.onoff import onoff_workload
 

@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from repro.battery.parameters import KiBaMParameters
-from repro.engine import solve_lifetime
+from repro.engine.registry import solve_lifetime
 from repro.engine.workspace import SolveWorkspace
 from repro.experiments.records import write_bench_record
 from repro.multibattery import MultiBatteryProblem

@@ -39,17 +39,11 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.api import ExecutionPolicy, LifetimeProblem, RunOptions, SweepCache, SweepSpec
 from repro.battery.parameters import KiBaMParameters
-from repro.engine import (
-    ExecutionPolicy,
-    LifetimeProblem,
-    RunOptions,
-    SweepCache,
-    SweepSpec,
-    override_faults,
-    run_sweep,
-    solve_lifetime,
-)
+from repro.engine.faults import override_faults
+from repro.engine.registry import solve_lifetime
+from repro.engine.sweep import run_sweep
 from repro.experiments.records import write_bench_record
 from repro.workload.base import WorkloadModel
 from tools.repro_trace import phase_breakdown, load_spans, sweep_timeline

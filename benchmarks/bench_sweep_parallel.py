@@ -3,7 +3,7 @@
 Acceptance criteria of the sweep subsystem:
 
 * on a 16-scenario sweep of *distinct* chains (so intra-batch merging
-  cannot help the serial baseline) :func:`repro.engine.run_sweep` with
+  cannot help the serial baseline) :func:`repro.engine.sweep.run_sweep` with
   >= 4 worker processes is at least 2x faster than the serial
   :class:`~repro.engine.batch.ScenarioBatch` -- asserted whenever the
   machine actually has >= 4 CPUs available, skipped (with the measured
@@ -22,9 +22,9 @@ import time
 import numpy as np
 import pytest
 
+from repro.api import RunOptions, ScenarioBatch, SweepCache, SweepSpec
 from repro.battery.parameters import KiBaMParameters
-from repro.engine import RunOptions, ScenarioBatch, SweepCache, SweepSpec, run_sweep
-from repro.engine.sweep import default_worker_count
+from repro.engine.sweep import default_worker_count, run_sweep
 from repro.workload.onoff import onoff_workload
 
 #: Number of scenarios in the sweep (acceptance: 16).

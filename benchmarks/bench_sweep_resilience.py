@@ -4,7 +4,7 @@ Two acceptance gates for the sweep-execution layer of
 :mod:`repro.engine.executor`:
 
 1. **Clean-path overhead.**  On a ~200-scenario sweep of distinct cheap
-   chains the production :func:`repro.engine.run_sweep` path (chunk
+   chains the production :func:`repro.engine.sweep.run_sweep` path (chunk
    tasks, retry bookkeeping, result-envelope validation) must cost less
    than :data:`MAX_CLEAN_OVERHEAD` over the pre-executor sweep path.  The
    baseline is :func:`_direct_sweep`, a frozen in-bench transcription of
@@ -45,16 +45,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.api import ExecutionPolicy, RunOptions, ScenarioBatch, SolveWorkspace, SweepSpec
 from repro.battery.parameters import KiBaMParameters
-from repro.engine import (
-    ExecutionPolicy,
-    RunOptions,
-    ScenarioBatch,
-    SolveWorkspace,
-    SweepSpec,
-    run_sweep,
-)
-from repro.engine.sweep import _partition
+from repro.engine.sweep import _partition, run_sweep
 
 #: Scenarios in the clean-overhead sweep.
 N_CLEAN_SCENARIOS = 200

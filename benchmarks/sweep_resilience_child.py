@@ -17,8 +17,9 @@ import sys
 
 import numpy as np
 
+from repro.api import ExecutionPolicy, RunOptions, SweepSpec
 from repro.battery.parameters import KiBaMParameters
-from repro.engine import ExecutionPolicy, RunOptions, SweepSpec, run_sweep
+from repro.engine.sweep import run_sweep
 from repro.workload.onoff import onoff_workload
 
 #: Scenarios in the resilience sweep.  Each two-well chain solves in

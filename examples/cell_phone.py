@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import KiBaMParameters, burst_workload, simple_workload
 from repro.analysis.comparison import crossing_time, stochastically_dominates
 from repro.analysis.report import format_series
-from repro.engine import LifetimeProblem, ScenarioBatch
+from repro.api import KiBaMParameters, LifetimeProblem, ScenarioBatch
+from repro.workload import burst_workload, simple_workload
 
 
 def main() -> None:

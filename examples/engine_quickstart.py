@@ -1,16 +1,16 @@
 #!/usr/bin/env python
 """Engine quickstart: one problem object, every solver, one batch call.
 
-The unified solver engine (:mod:`repro.engine`) is the recommended entry
-point of the library: describe the lifetime question once as a
-:class:`~repro.engine.LifetimeProblem` and hand it to any registered
-backend -- or let ``auto`` pick one.  This example
+The public API (:mod:`repro.api`) is the recommended entry point of the
+library: describe the lifetime question once as a
+:class:`~repro.api.LifetimeProblem` and hand it to any built-in solver
+with :func:`repro.api.solve` -- or let ``auto`` pick one.  This example
 
 1. solves the paper's on/off model exactly, with the Markovian
    approximation and with Monte-Carlo simulation from the *same* problem
    object and compares the three CDFs,
 2. sweeps a capacity dimensioning question over many battery sizes with
-   :class:`~repro.engine.ScenarioBatch`, which shares the expanded chain
+   :class:`~repro.api.ScenarioBatch`, which shares the expanded chain
    and propagates all scenarios in one blocked pass.
 
 Run with::
@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import KiBaMParameters, onoff_workload
 from repro.analysis.report import format_series
-from repro.engine import LifetimeProblem, ScenarioBatch, available_solvers, solve_lifetime
+from repro.api import KiBaMParameters, LifetimeProblem, ScenarioBatch, available_solvers, solve
+from repro.workload import onoff_workload
 
 
 def main() -> None:
@@ -45,7 +45,7 @@ def main() -> None:
 
     curves = []
     for method in ("analytic", "mrm-uniformization", "monte-carlo"):
-        result = solve_lifetime(problem.with_label(method), method)
+        result = solve(problem.with_label(method), method)
         curves.append(result.distribution)
         mean_hours = result.mean_lifetime() / 3600.0
         print(f"{method:>18s}: mean lifetime {mean_hours:5.2f} h, "
@@ -58,7 +58,7 @@ def main() -> None:
 
     # The 'auto' dispatcher picks the exact solver for this problem (two
     # current levels, no well-to-well transfer).
-    auto = solve_lifetime(problem, "auto")
+    auto = solve(problem, "auto")
     print(f"auto dispatched to: {auto.diagnostics['auto_dispatched_to']}")
     print()
 

@@ -18,25 +18,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import (
+from repro.analysis.report import format_table
+from repro.battery import (
     ConstantLoad,
     IdealBattery,
+    KineticBatteryModel,
     ModifiedKineticBatteryModel,
     PeukertBattery,
     SquareWaveLoad,
     rao_battery_parameters,
 )
-from repro.analysis.report import format_table
 from repro.battery.units import minutes_from_seconds
-from repro.engine import deterministic_lifetime, discharge_trajectory
 
 
 def main() -> None:
     parameters = rao_battery_parameters()  # 7200 As, c = 0.625, k = 4.5e-5 /s
+    kibam = KineticBatteryModel(parameters)
     modified = ModifiedKineticBatteryModel(parameters)
     ideal = IdealBattery(parameters.capacity)
     # A Peukert battery calibrated to the same continuous-load lifetime.
-    continuous_lifetime = deterministic_lifetime(parameters, ConstantLoad(0.96))
+    continuous_lifetime = kibam.lifetime(ConstantLoad(0.96))
     peukert = PeukertBattery(a=continuous_lifetime * 0.96**1.2, b=1.2)
 
     loads = [("continuous", ConstantLoad(0.96))] + [
@@ -49,14 +50,10 @@ def main() -> None:
         rows.append(
             [
                 name,
-                minutes_from_seconds(
-                    deterministic_lifetime(ideal, profile, horizon=80000.0) or np.nan
-                ),
-                minutes_from_seconds(
-                    deterministic_lifetime(peukert, profile, horizon=80000.0) or np.nan
-                ),
-                minutes_from_seconds(deterministic_lifetime(parameters, profile) or np.nan),
-                minutes_from_seconds(deterministic_lifetime(modified, profile) or np.nan),
+                minutes_from_seconds(ideal.lifetime(profile, horizon=80000.0) or np.nan),
+                minutes_from_seconds(peukert.lifetime(profile, horizon=80000.0) or np.nan),
+                minutes_from_seconds(kibam.lifetime(profile) or np.nan),
+                minutes_from_seconds(modified.lifetime(profile) or np.nan),
             ]
         )
     print("Lifetimes in minutes for a 0.96 A load (7200 As battery):")
@@ -69,7 +66,7 @@ def main() -> None:
     # The Figure 2 trajectory: both wells under the 0.001 Hz square wave.
     profile = SquareWaveLoad(0.96, frequency=0.001)
     times = np.arange(0.0, 13001.0, 1000.0)
-    trajectory = discharge_trajectory(parameters, profile, times)
+    trajectory = kibam.discharge(profile, times)
     rows = [
         [t, y1, y2]
         for t, y1, y2 in zip(trajectory.times, trajectory.available_charge, trajectory.bound_charge)

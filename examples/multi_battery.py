@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import KiBaMParameters
-from repro.engine import RunOptions, ScenarioBatch, SweepSpec, run_sweep, solve_lifetime
-from repro.engine.workspace import SolveWorkspace
+from repro.api import KiBaMParameters, RunOptions, ScenarioBatch, SolveWorkspace, SweepSpec, solve, sweep
 from repro.multibattery import MultiBatteryProblem, available_policies, get_policy
 from repro.workload.base import WorkloadModel
 
@@ -61,7 +59,7 @@ def main() -> None:
     print()
 
     # --- 2. Monte-Carlo cross-check with the steady-state horizon cap -----
-    simulated = solve_lifetime(
+    simulated = solve(
         base.with_policy("best-of").with_label("best-of (simulated)"),
         "monte-carlo",
         workspace=workspace,  # reuses the MRM's detected steady-state time
@@ -84,9 +82,9 @@ def main() -> None:
         policies=["round-robin", "best-of"],
         failures_to_die=1,
     )
-    sweep = run_sweep(spec, options=RunOptions(max_workers=1))
+    outcome = sweep(spec, options=RunOptions(max_workers=1))
     print(f"sweep over {len(spec)} bank scenarios:")
-    for result in sweep:
+    for result in outcome:
         print(f"  {result.label}: mean {result.mean_lifetime():8.1f} s")
 
 

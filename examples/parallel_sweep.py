@@ -8,10 +8,10 @@ traffic, a periodic duty-cycle schedule) with several battery sizes --
 using every CPU of the machine, and never solve the same scenario twice
 thanks to a fingerprint-keyed result cache.  This example
 
-1. declares the sweep as a :class:`~repro.engine.SweepSpec` cross-product,
-2. runs it in parallel worker processes with :func:`~repro.engine.run_sweep`
+1. declares the sweep as a :class:`~repro.api.SweepSpec` cross-product,
+2. runs it in parallel worker processes with :func:`~repro.api.sweep`
    (the results are bit-identical to a serial run, in scenario order),
-3. re-runs the same spec against the warm :class:`~repro.engine.SweepCache`
+3. re-runs the same spec against the warm :class:`~repro.api.SweepCache`
    and shows that nothing is re-solved (``diagnostics["cache_hit"]``).
 
 Run with::
@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.battery.parameters import KiBaMParameters
+from repro.api import KiBaMParameters, RunOptions, SweepCache, SweepSpec, sweep
 from repro.battery.units import coulombs_from_milliamp_hours
-from repro.engine import RunOptions, SweepCache, SweepSpec, run_sweep
 from repro.workload import (
     burst_workload,
     duty_cycle_workload,
@@ -58,7 +57,7 @@ def main() -> None:
     print(f"sweep: {len(spec)} scenarios (4 workload families x 3 batteries)")
 
     cache = SweepCache()  # pass SweepCache("some/dir") to persist across runs
-    outcome = run_sweep(spec, options=RunOptions(cache=cache))
+    outcome = sweep(spec, options=RunOptions(cache=cache))
     print(
         f"solved {outcome.diagnostics['n_solved']} scenarios on "
         f"{outcome.diagnostics['n_workers']} worker(s) in "
@@ -71,7 +70,7 @@ def main() -> None:
         print(f"  median {median_hours:5.1f} h | {result.label}")
     print()
 
-    again = run_sweep(spec, options=RunOptions(cache=cache))
+    again = sweep(spec, options=RunOptions(cache=cache))
     hits = sum(result.diagnostics["cache_hit"] for result in again)
     print(
         f"cached re-run: {hits}/{len(again)} scenarios served from cache in "

@@ -3,7 +3,7 @@
 
 This example builds the paper's 800 mAh cell-phone battery and the simple
 three-state workload (idle / send / sleep), describes the lifetime question
-once as an engine :class:`~repro.engine.LifetimeProblem`, solves it with
+once as a :class:`~repro.api.LifetimeProblem`, solves it with
 the Markovian approximation, cross-checks it against Monte-Carlo simulation
 and prints both curves.  (See ``examples/engine_quickstart.py`` for a tour
 of the full engine API.)
@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import KiBaMParameters, simple_workload
 from repro.analysis.report import format_series
-from repro.engine import LifetimeProblem, solve_lifetime
+from repro.api import KiBaMParameters, LifetimeProblem, solve
+from repro.workload import simple_workload
 
 
 def main() -> None:
@@ -47,10 +47,8 @@ def main() -> None:
     )
 
     # 4. Two interchangeable answers from the same problem object.
-    approximation = solve_lifetime(
-        problem.with_label("approximation (10 mAh)"), "mrm-uniformization"
-    )
-    simulation = solve_lifetime(problem, "monte-carlo")
+    approximation = solve(problem.with_label("approximation (10 mAh)"), "mrm-uniformization")
+    simulation = solve(problem, "monte-carlo")
 
     print(format_series(
         [approximation.distribution, simulation.distribution],

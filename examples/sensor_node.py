@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import KiBaMParameters, WorkloadBuilder
 from repro.analysis.report import format_table
-from repro.engine import LifetimeProblem, ScenarioBatch
+from repro.api import KiBaMParameters, LifetimeProblem, ScenarioBatch
+from repro.workload import WorkloadBuilder
 
 
 def sensor_workload(measurements_per_hour: float):

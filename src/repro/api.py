@@ -1,9 +1,6 @@
-"""The blessed public API of :mod:`repro`.
+"""The public API of :mod:`repro`: the one facade.
 
-Nine layers of machinery -- solvers, batches, sweeps, executors, the
-lifetime-query service -- grew nine import paths.  This facade is the one
-that is documented and stable: three verbs plus the types they take and
-return.
+Three verbs plus the types they take and return:
 
 * :func:`solve` -- answer one lifetime question
   (:class:`LifetimeProblem` -> :class:`LifetimeResult`);
@@ -13,15 +10,16 @@ return.
   answering :class:`LifetimeQuery` requests with caching, request
   coalescing and a warm workspace.
 
-The deep import paths (``repro.engine.registry.solve_lifetime``,
-``repro.engine.sweep.run_sweep``, ...) keep working -- this module only
-re-exports them under stable names; see the README's public-API table
-for the old-to-new mapping.
+This is the only module that re-exports names from other modules;
+:mod:`repro` re-exports exactly this module's ``__all__``.  Everything
+else (battery models, workloads, solver classes, executor types) is
+imported from the module that defines it; see the README's import table.
 
 >>> import numpy as np
 >>> import repro.api as api
+>>> from repro.workload import simple_workload
 >>> problem = api.LifetimeProblem(
-...     workload=__import__("repro").simple_workload(),
+...     workload=simple_workload(),
 ...     battery=api.KiBaMParameters.from_mah(800.0, c=0.625, k_per_second=4.5e-5),
 ...     times=np.linspace(1.0, 30.0, 30) * 3600.0,
 ... )
@@ -48,7 +46,8 @@ from repro.engine.sweep import (
     scenario_fingerprint,
 )
 from repro.engine.workspace import SolveWorkspace
-from repro.service import DEFAULT_STORE_ENTRIES, LifetimeQuery, LifetimeService, ServiceResponse
+from repro.service.query import LifetimeQuery
+from repro.service.server import DEFAULT_STORE_ENTRIES, LifetimeService, ServiceResponse
 from repro.workload.base import WorkloadModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -123,7 +122,7 @@ def serve(
     The service answers repeated queries from its fingerprint-keyed
     store, coalesces concurrent identical requests onto a single solve
     and keeps its workspace warm across requests; see
-    :class:`repro.service.LifetimeService` for the parameters
+    :class:`repro.service.server.LifetimeService` for the parameters
     (``max_entries=None`` leaves the store unbounded).
     """
     return LifetimeService(max_entries=max_entries, options=options)

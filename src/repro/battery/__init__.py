@@ -13,6 +13,9 @@ This sub-package implements the battery-side substrate of the paper:
 * :mod:`repro.battery.parameters` -- parameter containers and fitting helpers
   (deriving ``c`` from delivered capacities and ``k`` from a measured
   lifetime, exactly as described in Section 3).
+
+The parameter container :class:`~repro.battery.parameters.KiBaMParameters`
+is part of the public API and is imported from :mod:`repro.api`.
 """
 
 from repro.battery.base import Battery, DischargeResult
@@ -20,7 +23,6 @@ from repro.battery.ideal import IdealBattery
 from repro.battery.kibam import KiBaMState, KineticBatteryModel
 from repro.battery.modified_kibam import ModifiedKineticBatteryModel
 from repro.battery.parameters import (
-    KiBaMParameters,
     fit_c_from_capacities,
     fit_k_to_lifetime,
     rao_battery_parameters,
@@ -38,7 +40,6 @@ __all__ = [
     "ConstantLoad",
     "DischargeResult",
     "IdealBattery",
-    "KiBaMParameters",
     "KiBaMState",
     "KineticBatteryModel",
     "LoadProfile",

@@ -8,9 +8,9 @@ uniformisation-rate dominance, no silent dense escape, registered
 fingerprint fields, schema'd diagnostics keys -- used to live in scattered
 runtime asserts.  This package makes them first-class artifacts:
 
-* :mod:`repro.checking.contracts` -- the ``REPRO_CHECKS=strict|warn|off``
+* :mod:`repro.checking.contracts` -- the ``REPRO_CHECKS=strict|off``
   toggle that decides whether structural validators (see
-  :mod:`repro.markov.validate`) raise, warn or stay out of the way.
+  :mod:`repro.markov.validate`) raise or stay out of the way.
 * :mod:`repro.checking.dense` -- the single allowlisted, size-guarded
   sparse-to-dense boundary (:func:`dense_fallback`); lint rule RPR001
   forbids ``.toarray()`` everywhere else.
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from repro.checking.contracts import (
     CHECK_MODES,
-    ContractViolationWarning,
     checks_mode,
     enforce,
     override_checks,
@@ -53,7 +52,6 @@ from repro.checking.protocols import (
 __all__ = [
     "CHECK_MODES",
     "DEFAULT_DENSE_LIMIT",
-    "ContractViolationWarning",
     "DenseFallbackError",
     "DiscretizedChain",
     "FINGERPRINT_FIELDS",

@@ -3,15 +3,12 @@
 Structural chain validation (:mod:`repro.markov.validate`) is wired into
 the chain-construction entry points -- ``discretize`` and
 :class:`~repro.markov.uniformization.TransientPropagator` -- behind one
-process-wide three-valued knob:
+process-wide two-valued knob:
 
 ``REPRO_CHECKS=strict``
     Contract violations raise (:class:`~repro.markov.validate.ValidationError`).
-    The CI test matrix runs in this mode.
-``REPRO_CHECKS=warn``
-    Violations are reported as :class:`ContractViolationWarning` and
-    execution continues.  The local test default (set in
-    ``tests/conftest.py``).
+    The test suite runs in this mode, locally (``tests/conftest.py``) and
+    in CI.
 ``REPRO_CHECKS=off``
     The validators are not invoked at all; the only residual cost is one
     environment lookup per guarded entry (gated under 1% of a 52k-state
@@ -26,7 +23,6 @@ offers a scoped in-process override that wins over the environment.
 from __future__ import annotations
 
 import os
-import warnings
 from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
@@ -35,14 +31,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "CHECK_MODES",
-    "ContractViolationWarning",
     "checks_mode",
     "enforce",
     "override_checks",
 ]
 
 #: The supported values of the ``REPRO_CHECKS`` knob.
-CHECK_MODES = ("strict", "warn", "off")
+CHECK_MODES = ("strict", "off")
 
 #: Name of the controlling environment variable.
 ENV_VAR = "REPRO_CHECKS"
@@ -54,12 +49,8 @@ DEFAULT_MODE = "off"
 _override: str | None = None
 
 
-class ContractViolationWarning(UserWarning):
-    """A structural contract was violated under ``REPRO_CHECKS=warn``."""
-
-
 def checks_mode() -> str:
-    """Return the active checking mode (``"strict"``, ``"warn"`` or ``"off"``).
+    """Return the active checking mode (``"strict"`` or ``"off"``).
 
     A scoped :func:`override_checks` wins over the environment; an
     unrecognised environment value raises immediately rather than being
@@ -96,15 +87,9 @@ def override_checks(mode: str) -> "Iterator[None]":
 def enforce(error: Exception, *, mode: str | None = None) -> None:
     """Report a contract violation according to the active mode.
 
-    ``strict`` raises *error*, ``warn`` emits it as a
-    :class:`ContractViolationWarning` (preserving the message), ``off``
-    does nothing.  Callers that already know the mode can pass it to save
-    the lookup.
+    ``strict`` raises *error*, ``off`` does nothing.  Callers that already
+    know the mode can pass it to save the lookup.
     """
     active = checks_mode() if mode is None else mode
     if active == "strict":
         raise error
-    if active == "warn":
-        warnings.warn(
-            f"{type(error).__name__}: {error}", ContractViolationWarning, stacklevel=3
-        )

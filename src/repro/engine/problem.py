@@ -33,11 +33,9 @@ __all__ = ["LifetimeProblem", "default_delta"]
 DEFAULT_AVAILABLE_LEVELS = 100
 
 
-def default_delta(battery: KiBaMParameters, *, n_levels: int = DEFAULT_AVAILABLE_LEVELS) -> float:
-    """Return a default discretisation step: *n_levels* available-charge levels."""
-    if n_levels < 1:
-        raise ValueError("n_levels must be at least 1")
-    return battery.available_capacity / float(n_levels)
+def default_delta(battery: KiBaMParameters) -> float:
+    """Return a default discretisation step: :data:`DEFAULT_AVAILABLE_LEVELS` available-charge levels."""
+    return battery.available_capacity / float(DEFAULT_AVAILABLE_LEVELS)
 
 
 @dataclass(frozen=True, eq=False)

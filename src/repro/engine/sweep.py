@@ -187,7 +187,7 @@ class SweepCache:
 
     Caches are **thread-safe** (a single re-entrant lock guards lookups,
     stores and counters) so one instance can back the concurrent request
-    handlers of :class:`repro.service.LifetimeService` as its shared
+    handlers of :class:`repro.service.server.LifetimeService` as its shared
     result store.  For that long-lived serving role two knobs matter:
 
     * *max_entries* bounds the in-memory tier with LRU eviction -- the

@@ -13,7 +13,8 @@ from __future__ import annotations
 from repro.analysis.convergence import delta_convergence_study
 from repro.analysis.distribution import LifetimeDistribution
 from repro.analysis.report import format_table
-from repro.engine import SolveWorkspace, solve_lifetime
+from repro.api import SolveWorkspace
+from repro.engine.registry import solve_lifetime
 from repro.experiments.common import exact_curve, lifetime_problem
 from repro.experiments.figure7 import FIGURE7_TIMES, onoff_single_well_battery
 from repro.experiments.registry import ExperimentConfig, ExperimentResult, register_experiment

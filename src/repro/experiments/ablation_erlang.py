@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.analysis.distribution import LifetimeDistribution
 from repro.analysis.report import format_table
-from repro.engine import SolveWorkspace
+from repro.api import SolveWorkspace
 from repro.experiments.common import approximation_curve, exact_curve
 from repro.experiments.figure7 import onoff_single_well_battery
 from repro.experiments.registry import ExperimentConfig, ExperimentResult, register_experiment

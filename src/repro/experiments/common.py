@@ -4,7 +4,7 @@ Every curve an experiment needs is obtained through the unified solver
 engine (:mod:`repro.engine`): the helpers here only translate the drivers'
 historical (workload, battery, delta, times) vocabulary into
 :class:`~repro.engine.problem.LifetimeProblem` objects and pick the solver
-backend.  Sweeps go through :func:`repro.engine.run_sweep`, which keeps the
+backend.  Sweeps go through :func:`repro.engine.sweep.run_sweep`, which keeps the
 shared-work reuse of :class:`~repro.engine.batch.ScenarioBatch` (chain
 builds, uniformised matrices, Poisson windows) and can additionally fan the
 scenarios out over worker processes (``ExperimentConfig.workers`` /
@@ -21,20 +21,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.analysis.distribution import LifetimeDistribution
+from repro.api import LifetimeProblem, RunOptions, ScenarioBatch, SolveWorkspace, SweepCache
 from repro.battery.parameters import KiBaMParameters
-from repro.engine import (
-    LifetimeProblem,
-    RunOptions,
-    ScenarioBatch,
-    SolveWorkspace,
-    SweepCache,
-    run_sweep,
-    solve_lifetime,
-)
+from repro.engine.registry import solve_lifetime
+from repro.engine.sweep import run_sweep
 from repro.workload.base import WorkloadModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine import SweepProgress
+    from repro.api import SweepProgress
     from repro.experiments.registry import ExperimentConfig
 
 __all__ = [

@@ -17,9 +17,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.report import format_series
+from repro.api import ScenarioBatch
 from repro.battery.parameters import KiBaMParameters
 from repro.battery.units import coulombs_from_milliamp_hours
-from repro.engine import ScenarioBatch, run_sweep
+from repro.engine.sweep import run_sweep
 from repro.experiments.common import lifetime_problem, sweep_options
 from repro.experiments.registry import ExperimentConfig, ExperimentResult, register_experiment
 from repro.workload.burst import burst_workload

@@ -12,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.report import format_table
+from repro.battery.kibam import KineticBatteryModel
 from repro.battery.parameters import rao_battery_parameters
 from repro.battery.profiles import SquareWaveLoad
-from repro.engine import deterministic_lifetime, discharge_trajectory
 from repro.experiments.registry import ExperimentConfig, ExperimentResult, register_experiment
 
 __all__ = ["run"]
@@ -28,12 +28,12 @@ FIGURE2_CURRENT = 0.96
 
 def run(config: ExperimentConfig) -> ExperimentResult:
     """Reproduce Figure 2."""
-    parameters = rao_battery_parameters()
+    battery = KineticBatteryModel(rao_battery_parameters())
     profile = SquareWaveLoad(FIGURE2_CURRENT, frequency=FIGURE2_FREQUENCY)
 
     sample_step = 250.0 if config.full else 500.0
     times = np.arange(0.0, 13000.0 + sample_step, sample_step)
-    trajectory = discharge_trajectory(parameters, profile, times)
+    trajectory = battery.discharge(profile, times)
 
     rows = [
         [float(t), float(y1), float(y2)]
@@ -41,7 +41,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     ]
     table = format_table(["t (s)", "available charge y1 (As)", "bound charge y2 (As)"], rows)
 
-    lifetime = deterministic_lifetime(parameters, profile)
+    lifetime = battery.lifetime(profile)
     return ExperimentResult(
         experiment_id="figure2",
         title="Evolution of the available- and bound-charge wells, f = 0.001 Hz (Figure 2)",

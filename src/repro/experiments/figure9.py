@@ -20,8 +20,9 @@ import numpy as np
 
 from repro.analysis.comparison import stochastically_dominates
 from repro.analysis.report import format_series
+from repro.api import ScenarioBatch
 from repro.battery.parameters import KiBaMParameters, rao_battery_parameters
-from repro.engine import ScenarioBatch, run_sweep
+from repro.engine.sweep import run_sweep
 from repro.experiments.common import lifetime_problem, sweep_options
 from repro.experiments.registry import ExperimentConfig, ExperimentResult, register_experiment
 from repro.workload.onoff import onoff_workload

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.api import ScenarioBatch
 from repro.battery.parameters import KiBaMParameters
-from repro.engine import ScenarioBatch
 from repro.engine.workspace import SolveWorkspace
 from repro.experiments.registry import (
     ExperimentConfig,

@@ -33,7 +33,7 @@ class ExperimentConfig:
         Base seed for all stochastic parts.
     workers:
         Worker-process count for the drivers' scenario sweeps (routed
-        through :func:`repro.engine.run_sweep`); ``1`` keeps everything
+        through :func:`repro.engine.sweep.run_sweep`); ``1`` keeps everything
         in-process.  ``REPRO_WORKERS`` or ``--workers`` overrides it.
     cache_dir:
         Optional directory for a durable scenario cache: the drivers'

@@ -18,7 +18,7 @@ the whole invocation (rendered with ``python -m tools.repro_trace``),
 
 All drivers obtain their curves through the unified solver engine
 (:mod:`repro.engine`) and its parallel sweep layer
-(:func:`repro.engine.run_sweep`); this module only handles selection,
+(:func:`repro.engine.sweep.run_sweep`); this module only handles selection,
 configuration and report rendering.
 """
 

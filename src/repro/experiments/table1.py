@@ -16,11 +16,11 @@ frequency -- this mismatch is the motivation for studying lifetime
 from __future__ import annotations
 
 from repro.analysis.report import format_table
+from repro.battery.kibam import KineticBatteryModel
 from repro.battery.modified_kibam import ModifiedKineticBatteryModel
 from repro.battery.parameters import fit_k_to_lifetime, rao_battery_parameters
 from repro.battery.profiles import ConstantLoad, SquareWaveLoad
 from repro.battery.units import minutes_from_seconds, seconds_from_minutes
-from repro.engine import deterministic_lifetime
 from repro.experiments.registry import ExperimentConfig, ExperimentResult, register_experiment
 from repro.simulation.rng import make_rng
 
@@ -40,6 +40,7 @@ TABLE1_CURRENT = 0.96
 def run(config: ExperimentConfig) -> ExperimentResult:
     """Reproduce Table 1."""
     parameters = rao_battery_parameters()
+    kibam = KineticBatteryModel(parameters)
     modified = ModifiedKineticBatteryModel(parameters)
     rng = make_rng(config.seed)
 
@@ -53,8 +54,8 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     rows = []
     data: dict[str, dict[str, float]] = {}
     for name, profile in workloads.items():
-        kibam_minutes = minutes_from_seconds(deterministic_lifetime(parameters, profile))
-        modified_minutes = minutes_from_seconds(deterministic_lifetime(modified, profile))
+        kibam_minutes = minutes_from_seconds(kibam.lifetime(profile))
+        modified_minutes = minutes_from_seconds(modified.lifetime(profile))
         stochastic_minutes = minutes_from_seconds(
             modified.mean_stochastic_lifetime(profile, rng, n_runs=n_stochastic_runs)
         )

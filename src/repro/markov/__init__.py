@@ -36,7 +36,6 @@ from repro.markov.poisson import (
     PoissonWeights,
     cached_poisson_weights,
     fox_glynn,
-    poisson_weights,
 )
 from repro.markov.steady_state import steady_state_distribution
 from repro.markov.uniformization import (
@@ -69,7 +68,6 @@ __all__ = [
     "check_generator",
     "exit_rates",
     "fox_glynn",
-    "poisson_weights",
     "steady_state_distribution",
     "uniformization_rate",
     "uniformized_matrix",

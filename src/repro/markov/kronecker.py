@@ -311,21 +311,13 @@ class KroneckerGenerator:
     dims:
         The factor sizes; the product space has ``n = prod(dims)`` states.
     terms:
-        The off-diagonal summands (entries must be non-negative).
-    validate:
-        When ``True`` the scalings and factor entries are checked to be
-        non-negative at construction.
+        The off-diagonal summands.  Factor entries and scalings are checked
+        to be non-negative at construction.
     """
 
     __array_ufunc__: None = None  # make `ndarray @ operator` defer to __rmatmul__
 
-    def __init__(
-        self,
-        dims: Iterable[int],
-        terms: Iterable[KroneckerTerm],
-        *,
-        validate: bool = True,
-    ) -> None:
+    def __init__(self, dims: Iterable[int], terms: Iterable[KroneckerTerm]) -> None:
         self._dims = tuple(int(dim) for dim in dims)
         if not self._dims or any(dim < 1 for dim in self._dims):
             raise GeneratorError(f"factor dimensions must be positive, got {dims}")
@@ -346,7 +338,7 @@ class KroneckerGenerator:
                         f"factor on axis {axis} has shape {matrix.shape}, "
                         f"expected {expected}"
                     )
-                if validate and matrix.nnz and float(matrix.data.min(initial=0.0)) < 0.0:
+                if matrix.nnz and float(matrix.data.min(initial=0.0)) < 0.0:
                     raise GeneratorError(f"factor on axis {axis} has negative entries")
                 factors.append((axis, matrix))
             scales = []
@@ -358,7 +350,7 @@ class KroneckerGenerator:
                     raise GeneratorError(
                         f"scale of shape {array.shape} does not broadcast to {self._dims}"
                     ) from None
-                if validate and array.size and float(array.min()) < 0.0:
+                if array.size and float(array.min()) < 0.0:
                     raise GeneratorError("diagonal scalings must be non-negative")
                 scales.append(array)
             prepared.append(KroneckerTerm(factors=tuple(factors), scales=tuple(scales)))

@@ -8,18 +8,14 @@ mixture of DTMC distributions,
    \\pi(t) = \\sum_{n=0}^{\\infty} e^{-qt} \\frac{(qt)^n}{n!} \\; \\alpha P^n .
 
 The series has to be truncated on the left and on the right such that the
-neglected probability mass is below a prescribed error bound.  This module
-provides two implementations:
-
-* :func:`fox_glynn` -- a self-contained implementation in the spirit of the
-  classical Fox--Glynn algorithm: weights are computed recursively outwards
-  from the mode of the Poisson distribution with a floating normalisation
-  constant, which avoids underflow of the individual terms for very large
-  ``qt`` (the discretised battery chains easily reach ``qt`` of several
-  tens of thousands).
-* :func:`poisson_weights` -- a thin wrapper that selects truncation points
-  and returns normalised weights; it is the entry point used by the
-  transient solvers.
+neglected probability mass is below a prescribed error bound.
+:func:`fox_glynn` computes such a window in the spirit of the classical
+Fox--Glynn algorithm: weights are computed recursively outwards from the
+mode of the Poisson distribution with a floating normalisation constant,
+which avoids underflow of the individual terms for very large ``qt`` (the
+discretised battery chains easily reach ``qt`` of several tens of
+thousands).  The transient solvers read it through the memoised
+:func:`cached_poisson_weights` and :func:`shared_poisson_windows`.
 """
 
 from __future__ import annotations
@@ -40,7 +36,6 @@ __all__ = [
     "clear_poisson_caches",
     "fox_glynn",
     "poisson_cache_diagnostics",
-    "poisson_weights",
     "shared_poisson_windows",
     "truncation_points",
 ]
@@ -167,18 +162,9 @@ def fox_glynn(rate: float, epsilon: float = 1e-12) -> PoissonWeights:
     return PoissonWeights(left=left, right=right, weights=weights, rate=float(rate))
 
 
-def poisson_weights(rate: float, epsilon: float = 1e-12) -> PoissonWeights:
-    """Return truncated, normalised Poisson weights for uniformisation.
-
-    This is the entry point used by the transient solvers; it currently
-    delegates to :func:`fox_glynn`.
-    """
-    return fox_glynn(rate, epsilon)
-
-
 @lru_cache(maxsize=512)
 def cached_poisson_weights(rate: float, epsilon: float = 1e-12) -> PoissonWeights:
-    """Memoised variant of :func:`poisson_weights`.
+    """Memoised variant of :func:`fox_glynn`.
 
     Scenario sweeps evaluate the same chain on the same (or overlapping)
     time grids over and over; the Poisson window for a given ``(q t,

@@ -63,7 +63,7 @@ import scipy.sparse as sp
 from repro import obs
 from repro.checking.protocols import FloatArray
 from repro.markov import kernels
-from repro.markov.generator import as_csr
+from repro.markov.generator import as_csr, exit_rates, uniformized_matrix
 from repro.markov.kronecker import KroneckerGenerator, UniformizedOperator
 from repro.markov.poisson import (
     PoissonWeights,
@@ -141,22 +141,17 @@ class BatchTransientResult:
     steady_state_iteration: int | None = None
 
 
-def uniformization_rate(
-    generator: GeneratorLike, *, safety: float = RATE_SAFETY_FACTOR
-) -> float:
-    """Return a uniformisation rate for *generator*.
+def uniformization_rate(generator: GeneratorLike) -> float:
+    """Return the uniformisation rate of *generator*.
 
-    The rate is the maximal exit rate multiplied by a small safety factor.
-    A strictly positive lower bound is enforced so that generators of
-    completely absorbing chains (all rates zero) still produce a valid,
-    trivial uniformised matrix.
+    The rate is the maximal exit rate multiplied by
+    :data:`RATE_SAFETY_FACTOR`.  Completely absorbing chains (all rates
+    zero) get the rate 1.0, so their uniformised matrix is the identity.
     """
-    from repro.markov.generator import exit_rates
-
     max_exit = float(np.max(exit_rates(generator), initial=0.0))
     if max_exit <= 0.0:
         return 1.0
-    return max_exit * safety
+    return max_exit * RATE_SAFETY_FACTOR
 
 
 class TransientPropagator:
@@ -164,8 +159,10 @@ class TransientPropagator:
 
     The constructor performs all the per-chain work exactly once -- CSR
     conversion (the pipeline is sparse end-to-end; dense workload chains are
-    converted at this boundary), validation, exit-rate extraction and
-    uniformisation -- so that every subsequent :meth:`transient_batch`
+    converted at this boundary), validation, the uniformisation rate
+    (:func:`uniformization_rate`) and ``P = I + Q/rate``
+    (:func:`~repro.markov.generator.uniformized_matrix`, or the operator
+    forms below) -- so that every subsequent :meth:`transient_batch`
     call only pays for the Poisson windows (which are memoised globally)
     and the vector--matrix products.  Its kernel holds ``P.T``, for a CSR
     ``P`` a view on ``P``'s arrays: no second copy, no per-call transpose.
@@ -175,9 +172,6 @@ class TransientPropagator:
     generator:
         CTMC generator: a dense ndarray, any scipy sparse format, or a
         :class:`~repro.markov.kronecker.KroneckerGenerator` operator.
-    rate:
-        Optional uniformisation rate; must dominate every exit rate.  When
-        omitted, the maximal exit rate times a small safety factor is used.
     validate:
         When ``True`` (default) the generator is validated once here, and
         initial distributions are checked in every solve call.
@@ -197,7 +191,6 @@ class TransientPropagator:
         self,
         generator: GeneratorLike,
         *,
-        rate: float | None = None,
         validate: bool = True,
         assemble: bool = False,
     ) -> None:
@@ -218,33 +211,19 @@ class TransientPropagator:
                 validate_generator(matrix)
         self._validate = bool(validate)
         self._generator = matrix
-        exit = -matrix.diagonal()
-        max_exit = float(np.max(exit, initial=0.0))
-        if rate is None:
-            self._rate = max_exit * RATE_SAFETY_FACTOR if max_exit > 0.0 else 1.0
-        else:
-            self._rate = float(rate)
-            if self._rate <= 0:
-                raise ValueError(f"uniformisation rate must be positive, got {rate}")
-            if self._rate < max_exit * (1.0 - 1e-12):
-                raise ValueError(
-                    f"uniformisation rate {rate} is smaller than the maximal exit "
-                    f"rate {max_exit}"
-                )
+        self._rate = uniformization_rate(matrix)
         # REPRO_CHECKS contract hook: in "off" mode this is one dict
-        # lookup; "warn"/"strict" run the full structural validator
-        # (including uniformisation-rate dominance) on every propagator.
+        # lookup; "strict" runs the full structural validator (including
+        # uniformisation-rate dominance) on every propagator.
         check_generator(self._generator, rate=self._rate)
+        self._probability_matrix: sp.csr_matrix | UniformizedOperator
         if self._matrix_free:
             self._probability_matrix = UniformizedOperator(matrix, self._rate)
         elif isinstance(matrix, KroneckerGenerator):
             self._probability_matrix = matrix.uniformized_csr(self._rate)
             check_uniformized(self._probability_matrix, matrix)
         else:
-            n = matrix.shape[0]
-            self._probability_matrix = (
-                sp.identity(n, format="csr") + matrix / self._rate
-            ).tocsr()
+            self._probability_matrix = uniformized_matrix(matrix, self._rate)
         self._kernel = kernels.ScipyKernel(
             self._probability_matrix if self._matrix_free else self._probability_matrix.T
         )
@@ -332,7 +311,6 @@ class TransientPropagator:
         epsilon: float = 1e-10,
         projection: npt.ArrayLike | None = None,
         mode: str = "incremental",
-        steady_state_tol: float | None = None,
     ) -> BatchTransientResult:
         """Propagate a stack of initial distributions in one shared pass.
 
@@ -357,20 +335,12 @@ class TransientPropagator:
             accumulated, which reduces the memory footprint from
             ``K x T x n`` to ``K x T (x m)``.
         mode:
-            ``"incremental"`` (default) or ``"single-pass"``; see the module
-            docstring.
-        steady_state_tol:
-            Per-step 1-norm threshold of the steady-state detector
-            (incremental mode only).  By default the threshold is derived
-            from the remaining product budget so that the accumulated
-            detection error stays below half of *epsilon* (the other half
-            covers the window truncations): because ``P`` is
-            row-stochastic the 1-norm of the per-step change never grows,
-            so freezing after a step change below
-            ``budget / products_remaining`` bounds the total drift by
-            the budget.  Pass an explicit value to override the budget
-            (looser values detect earlier at reduced accuracy), or ``0``
-            to disable detection.
+            ``"incremental"`` (default) or ``"single-pass"`` (the reference
+            the benchmarks compare against); see the module docstring.  In
+            incremental mode the steady-state detector's per-step 1-norm
+            threshold is derived from the remaining product budget, so the
+            accumulated detection error stays below half of *epsilon* (the
+            other half covers the window truncations).
 
         Returns
         -------
@@ -407,7 +377,7 @@ class TransientPropagator:
         if mode == "single-pass":
             solved = self._single_pass(start, unique_times, epsilon, proj)
         else:
-            solved = self._incremental(start, unique_times, epsilon, proj, steady_state_tol)
+            solved = self._incremental(start, unique_times, epsilon, proj)
 
         return BatchTransientResult(
             times=times_array,
@@ -486,7 +456,6 @@ class TransientPropagator:
         unique_times: FloatArray,
         epsilon: float,
         proj: FloatArray | None,
-        steady_state_tol: float | None,
     ) -> _SolvedGrid:
         """Chain segments ``pi(t_{j-1}) -> pi(t_j)`` with steady-state detection."""
         n_times = unique_times.size
@@ -498,27 +467,25 @@ class TransientPropagator:
         # caller's epsilon.
         segment_epsilon = 0.5 * float(epsilon) / max(1, n_times)
         detection_budget = 0.5 * float(epsilon)
-        fixed_tol = None if steady_state_tol is None else float(steady_state_tol)
 
         gaps = np.diff(unique_times, prepend=0.0)
-        if fixed_tol is None:
-            # Upper bound on the products each segment can perform: the
-            # Fox--Glynn right truncation point (the realised window can
-            # only be trimmed smaller).  The suffix sums turn the
-            # detection threshold into a per-segment budget that soundly
-            # covers every remaining product of the whole horizon.
-            planned_products = np.array(
-                [
-                    truncation_points(self._rate * float(gap), segment_epsilon)[1]
-                    if gap > 0.0
-                    else 0
-                    for gap in gaps
-                ],
-                dtype=np.int64,
-            )
-            products_after = np.concatenate(
-                (np.cumsum(planned_products[::-1])[::-1][1:], [0])
-            )
+        # Upper bound on the products each segment can perform: the
+        # Fox--Glynn right truncation point (the realised window can only
+        # be trimmed smaller).  The suffix sums turn the detection
+        # threshold into a per-segment budget that soundly covers every
+        # remaining product of the whole horizon.
+        planned_products = np.array(
+            [
+                truncation_points(self._rate * float(gap), segment_epsilon)[1]
+                if gap > 0.0
+                else 0
+                for gap in gaps
+            ],
+            dtype=np.int64,
+        )
+        products_after = np.concatenate(
+            (np.cumsum(planned_products[::-1])[::-1][1:], [0])
+        )
 
         results = self._allocate(start, n_times, proj)
         truncation_error = np.zeros(n_times)
@@ -550,16 +517,13 @@ class TransientPropagator:
                 continue
 
             window = cached_poisson_weights(self._rate * gap, segment_epsilon)
-            if fixed_tol is None:
-                # Budgeted tolerance: P is row-stochastic, so the 1-norm of
-                # the per-step change never grows; once one step changes by
-                # less than budget / products_remaining, freezing the
-                # distribution keeps the accumulated drift below the
-                # detection budget over the whole remaining horizon.
-                products_remaining = window.right + int(products_after[j])
-                tol = detection_budget / max(1.0, float(products_remaining))
-            else:
-                tol = fixed_tol
+            # Budgeted tolerance: P is row-stochastic, so the 1-norm of the
+            # per-step change never grows; once one step changes by less
+            # than budget / products_remaining, freezing the distribution
+            # keeps the accumulated drift below the detection budget over
+            # the whole remaining horizon.
+            products_remaining = window.right + int(products_after[j])
+            tol = detection_budget / max(1.0, float(products_remaining))
             # The segment's products, weighted accumulation and
             # steady-state change tracking all run inside the kernel.
             with obs.detail_span(

@@ -26,8 +26,7 @@ product-space construction is attributable without a debugger.
 are the entry-point hooks wired into ``discretize`` /
 :class:`~repro.markov.uniformization.TransientPropagator` behind the
 ``REPRO_CHECKS`` toggle (see :mod:`repro.checking.contracts`):
-``strict`` raises, ``warn`` warns, ``off`` skips everything but one
-environment lookup.
+``strict`` raises, ``off`` skips everything but one environment lookup.
 """
 
 from __future__ import annotations
@@ -291,10 +290,7 @@ def validate_absorbing(
 # ----------------------------------------------------------------------
 
 def validate_kronecker(
-    generator: KroneckerGenerator,
-    *,
-    tolerance: float = DEFAULT_TOLERANCE,
-    assemble_limit: int = KRONECKER_ASSEMBLE_LIMIT,
+    generator: KroneckerGenerator, *, tolerance: float = DEFAULT_TOLERANCE
 ) -> None:
     """Raise :class:`ValidationError` unless the operator is self-consistent.
 
@@ -304,8 +300,9 @@ def validate_kronecker(
     diagonal is non-positive.  The operator's implied non-zero count is
     recomputed independently (per-state product of factor row counts,
     masked by the zero pattern of the scalings) and compared against the
-    operator's own accounting.  Chains with at most *assemble_limit*
-    states are additionally assembled and re-validated entry-wise.
+    operator's own accounting.  Chains with at most
+    :data:`KRONECKER_ASSEMBLE_LIMIT` states are additionally assembled and
+    re-validated entry-wise.
     """
     dims = tuple(generator.dims)
     n = generator.shape[0]
@@ -368,7 +365,7 @@ def validate_kronecker(
             f"{generator.nnz} non-zeros but the term structure implies {recount}"
         )
 
-    if n <= assemble_limit:
+    if n <= KRONECKER_ASSEMBLE_LIMIT:
         assembled = generator.to_csr()
         validate_generator(assembled, tolerance=tolerance)
         if assembled.nnz > generator.nnz:
@@ -503,17 +500,15 @@ def validate_lumping(
 # REPRO_CHECKS entry hooks
 # ----------------------------------------------------------------------
 
-def check_generator(
-    generator: Any, *, rate: float | None = None, mode: str | None = None
-) -> None:
+def check_generator(generator: Any, *, rate: float | None = None) -> None:
     """``REPRO_CHECKS`` hook for propagator entry: validate one generator.
 
     Dispatches to :func:`validate_kronecker` for matrix-free operators and
-    :func:`validate_generator` otherwise; violations are raised or warned
-    according to the active mode (see :mod:`repro.checking.contracts`).
-    In ``off`` mode this is a single dictionary lookup.
+    :func:`validate_generator` otherwise; violations raise in ``strict``
+    mode (see :mod:`repro.checking.contracts`).  In ``off`` mode this is a
+    single dictionary lookup.
     """
-    active = checks_mode() if mode is None else mode
+    active = checks_mode()
     if active == "off":
         return
     try:
@@ -522,16 +517,14 @@ def check_generator(
         enforce(error, mode=active)
 
 
-def check_uniformized(
-    matrix: sp.csr_matrix, generator: KroneckerGenerator, *, mode: str | None = None
-) -> None:
+def check_uniformized(matrix: sp.csr_matrix, generator: KroneckerGenerator) -> None:
     """``REPRO_CHECKS`` hook for an assembled ``P = I + Q/q`` of an operator.
 
     Runs :func:`validate_stochastic` with the entry count the operator
     implies: its off-diagonal non-zeros plus one diagonal slot per state.
     In ``off`` mode this is a single dictionary lookup.
     """
-    active = checks_mode() if mode is None else mode
+    active = checks_mode()
     if active == "off":
         return
     diagonal = generator.diagonal()
@@ -542,7 +535,7 @@ def check_uniformized(
         enforce(error, mode=active)
 
 
-def check_chain(chain: Any, *, mode: str | None = None) -> None:
+def check_chain(chain: Any) -> None:
     """``REPRO_CHECKS`` hook for ``discretize`` exit: validate a built chain.
 
     Validates the chain's generator (structural Q-matrix laws, operator
@@ -552,7 +545,7 @@ def check_chain(chain: Any, *, mode: str | None = None) -> None:
     operator is assembled with ``to_csr()`` for that check, whichever
     backend applies it.
     """
-    active = checks_mode() if mode is None else mode
+    active = checks_mode()
     if active == "off":
         return
     generator = chain.generator

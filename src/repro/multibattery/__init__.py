@@ -13,27 +13,27 @@ depends on how the load is scheduled across them:
   that shape the product generator's load-routing rates;
 * :class:`~repro.multibattery.problem.MultiBatteryProblem` lowers a
   system-lifetime question onto the existing engine
-  (:func:`repro.engine.solve_lifetime`, :class:`~repro.engine.ScenarioBatch`,
-  :func:`~repro.engine.run_sweep`), so the incremental-uniformisation fast
+  (:func:`repro.api.solve`, :class:`~repro.api.ScenarioBatch`,
+  :func:`repro.api.sweep`), so the incremental-uniformisation fast
   path, the Monte-Carlo cross-check and the sweep caches apply unchanged.
 
 Quick start
 -----------
 >>> import numpy as np
->>> from repro import KiBaMParameters, simple_workload
->>> from repro.engine import solve_lifetime
+>>> import repro.api as api
 >>> from repro.multibattery import MultiBatteryProblem
+>>> from repro.workload import simple_workload
 >>> problem = MultiBatteryProblem(
 ...     workload=simple_workload(),
 ...     batteries=(
-...         KiBaMParameters(capacity=120.0, c=0.625, k=1e-3),
-...         KiBaMParameters(capacity=120.0, c=0.625, k=1e-3),
+...         api.KiBaMParameters(capacity=120.0, c=0.625, k=1e-3),
+...         api.KiBaMParameters(capacity=120.0, c=0.625, k=1e-3),
 ...     ),
 ...     times=np.linspace(0.0, 40000.0, 60),
 ...     policy="best-of",
 ...     failures_to_die=1,
 ... )
->>> result = solve_lifetime(problem, "mrm-uniformization")
+>>> result = api.solve(problem, "mrm-uniformization")
 """
 
 from repro.multibattery.lumping import (

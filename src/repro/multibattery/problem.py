@@ -16,7 +16,7 @@ so the whole engine stack applies unchanged:
 * ``"auto"`` dispatches on :meth:`estimated_mrm_states`, which accounts
   for the **product-space** size, so large banks fall back to simulation;
 * :class:`~repro.engine.batch.ScenarioBatch` and
-  :func:`~repro.engine.run_sweep` treat multi-battery scenarios as
+  :func:`~repro.engine.sweep.run_sweep` treat multi-battery scenarios as
   first-class citizens (the policy, bank and predicate are part of
   :meth:`chain_key`, hence of the sweep-cache fingerprints).
 """

@@ -491,7 +491,7 @@ class MultiBatterySystem:
         # Construction-time validation catches e.g. a policy emitting
         # negative routing weights; the checks scan only the factor
         # matrices and scaling arrays, never the product space.
-        return KroneckerGenerator(dims, terms, validate=True)
+        return KroneckerGenerator(dims, terms)
 
 
 @dataclass(frozen=True)

@@ -7,22 +7,13 @@ fingerprint, concurrent identical requests coalesce onto one solve, and
 a warm :class:`~repro.engine.workspace.SolveWorkspace` amortises
 uniformised matrices and Poisson tables across requests.
 
->>> from repro.service import LifetimeQuery, LifetimeService
->>> service = LifetimeService()                        # doctest: +SKIP
->>> response = service.query(workload, battery, times) # doctest: +SKIP
->>> response.served_from                               # doctest: +SKIP
-'solve'
+* :mod:`repro.service.query` -- :class:`~repro.service.query.LifetimeQuery`,
+  one request and its fingerprint;
+* :mod:`repro.service.server` --
+  :class:`~repro.service.server.LifetimeService`, the store, the
+  coalescing and the responses.
 
-``tools/repro_serve.py`` wraps this module in a JSONL / HTTP front; the
-blessed import path is :mod:`repro.api` (``repro.api.serve``).
+The public names are reached through :mod:`repro.api`
+(``repro.api.serve``); ``tools/repro_serve.py`` wraps the service in a
+JSONL / HTTP front.
 """
-
-from repro.service.query import LifetimeQuery
-from repro.service.server import DEFAULT_STORE_ENTRIES, LifetimeService, ServiceResponse
-
-__all__ = [
-    "DEFAULT_STORE_ENTRIES",
-    "LifetimeQuery",
-    "LifetimeService",
-    "ServiceResponse",
-]

@@ -58,7 +58,7 @@ def _times_from_payload(value: Any) -> Any:
 
 @dataclasses.dataclass(frozen=True)
 class LifetimeQuery:
-    """One lifetime question addressed to :class:`repro.service.LifetimeService`.
+    """One lifetime question addressed to :class:`repro.service.server.LifetimeService`.
 
     Attributes
     ----------

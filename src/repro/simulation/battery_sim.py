@@ -23,6 +23,9 @@ __all__ = [
     "simulate_lifetime_once",
 ]
 
+#: Multiple of the ideal lifetime that the default simulation horizons span.
+HORIZON_SAFETY_FACTOR = 3.0
+
 
 def simulate_battery_on_trajectory(battery: Battery, trajectory: Trajectory) -> float | None:
     """Return the battery lifetime along a given *trajectory*.
@@ -49,10 +52,8 @@ def simulate_battery_on_trajectory(battery: Battery, trajectory: Trajectory) -> 
     return battery.lifetime(profile, horizon=trajectory.total_duration)
 
 
-def ideal_lifetime_horizon(
-    mean_current: float, capacity: float, *, safety_factor: float = 3.0
-) -> float:
-    """The shared horizon heuristic: ``safety * ideal lifetime``.
+def ideal_lifetime_horizon(mean_current: float, capacity: float) -> float:
+    """The shared horizon heuristic: :data:`HORIZON_SAFETY_FACTOR` times the ideal lifetime.
 
     The ideal lifetime is *capacity* delivered at *mean_current*; a
     non-positive mean current falls back to a large constant.  Single- and
@@ -61,18 +62,16 @@ def ideal_lifetime_horizon(
     """
     if mean_current <= 0:
         return 1_000_000.0
-    return safety_factor * capacity / mean_current
+    return HORIZON_SAFETY_FACTOR * capacity / mean_current
 
 
-def default_horizon(workload: WorkloadModel, battery: Battery, *, safety_factor: float = 3.0) -> float:
+def default_horizon(workload: WorkloadModel, battery: Battery) -> float:
     """Return a simulation horizon that almost surely exceeds the lifetime.
 
     The horizon is the ideal lifetime of the full capacity at the workload's
-    long-run mean current, multiplied by *safety_factor*.
+    long-run mean current, multiplied by :data:`HORIZON_SAFETY_FACTOR`.
     """
-    return ideal_lifetime_horizon(
-        workload.mean_current(), battery.capacity, safety_factor=safety_factor
-    )
+    return ideal_lifetime_horizon(workload.mean_current(), battery.capacity)
 
 
 def simulate_lifetime_once(

@@ -132,9 +132,7 @@ def simulate_lifetime_distribution(
     )
 
 
-def default_system_horizon(
-    workload: WorkloadModel, batteries, *, safety_factor: float = 3.0
-) -> float:
+def default_system_horizon(workload: WorkloadModel, batteries) -> float:
     """Return a horizon that almost surely exceeds the system lifetime.
 
     The bank delivers at most the sum of its capacities, so the shared
@@ -142,9 +140,7 @@ def default_system_horizon(
     applied to the total capacity bounds every policy's system lifetime.
     """
     total_capacity = float(sum(battery.capacity for battery in batteries))
-    return ideal_lifetime_horizon(
-        workload.mean_current(), total_capacity, safety_factor=safety_factor
-    )
+    return ideal_lifetime_horizon(workload.mean_current(), total_capacity)
 
 
 def simulate_system_lifetime_distribution(
@@ -156,7 +152,6 @@ def simulate_system_lifetime_distribution(
     n_runs: int = 1000,
     seed: int | np.random.Generator | None = None,
     horizon: float | None = None,
-    control_interval: float | None = None,
 ) -> LifetimeSimulationResult:
     """Estimate a multi-battery **system** lifetime distribution by simulation.
 
@@ -182,7 +177,6 @@ def simulate_system_lifetime_distribution(
         rng,
         float(horizon),
         failures_to_die=failures_to_die,
-        control_interval=control_interval,
     )
     return LifetimeSimulationResult(
         samples=samples,

@@ -169,7 +169,6 @@ def simulate_system_lifetimes_vectorized(
     horizon: float,
     *,
     failures_to_die: int | None = None,
-    control_interval: float | None = None,
 ) -> np.ndarray:
     """Sample system lifetimes of a battery bank under a scheduling policy.
 
@@ -204,9 +203,9 @@ def simulate_system_lifetimes_vectorized(
         Per-run time horizon (seconds).
     failures_to_die:
         The ``k`` of the k-of-N depletion predicate (default ``N``).
-    control_interval:
-        Upper bound on the time between policy re-evaluations; defaults to
-        the policy's own :meth:`control_interval` hint.
+
+    The time between policy re-evaluations is bounded by the policy's own
+    :meth:`control_interval` hint.
     """
     from repro.multibattery.policies import get_policy
 
@@ -225,11 +224,8 @@ def simulate_system_lifetimes_vectorized(
 
     models = [KineticBatteryModel(battery) for battery in batteries]
     currents_per_state = np.asarray(workload.currents, dtype=float)
-    if control_interval is None:
-        control_interval = policy.control_interval(
-            batteries, float(currents_per_state.max(initial=0.0))
-        )
-    control_interval = np.inf if control_interval is None else float(control_interval)
+    hint = policy.control_interval(batteries, float(currents_per_state.max(initial=0.0)))
+    control_interval = np.inf if hint is None else float(hint)
 
     exit_rates = -np.diag(workload.generator)
     cumulative = cumulative_jump_probabilities(workload)

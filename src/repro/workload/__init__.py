@@ -18,9 +18,10 @@ Beyond the paper, three scenario families feed the sweep layer:
 
 :mod:`repro.workload.builder` offers a fluent API for defining custom
 models, and :mod:`repro.workload.catalog` a fixed catalog of the standard ones.
+The model class :class:`~repro.workload.base.WorkloadModel` is part of the
+public API and is imported from :mod:`repro.api`.
 """
 
-from repro.workload.base import WorkloadModel
 from repro.workload.builder import WorkloadBuilder
 from repro.workload.burst import burst_workload
 from repro.workload.catalog import available_workloads, get_workload
@@ -32,7 +33,6 @@ from repro.workload.simple import simple_workload
 
 __all__ = [
     "WorkloadBuilder",
-    "WorkloadModel",
     "available_workloads",
     "burst_workload",
     "duty_cycle_workload",

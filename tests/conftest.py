@@ -12,13 +12,12 @@ from repro.workload.burst import burst_workload
 from repro.workload.onoff import onoff_workload
 from repro.workload.simple import simple_workload
 
-# Default the structural chain validators to ``warn`` for the whole suite
-# (CI exports ``REPRO_CHECKS=strict`` on top): a contract violation in a
-# chain construction surfaces as a ContractViolationWarning instead of
-# passing silently, without hard-failing tests that build deliberately
-# broken chains.  The mode is re-read on every check, so setting it here
-# covers every test regardless of import order.
-os.environ.setdefault("REPRO_CHECKS", "warn")
+# Default the structural chain validators to ``strict`` for the whole
+# suite, the mode CI exports as well: a contract violation in a chain
+# construction raises instead of passing silently.  The mode is re-read
+# on every check, so setting it here covers every test regardless of
+# import order.
+os.environ.setdefault("REPRO_CHECKS", "strict")
 
 
 @pytest.fixture

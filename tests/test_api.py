@@ -1,11 +1,16 @@
 """Tests of the ``repro.api`` public facade.
 
-The facade is the documented surface: three verbs (``solve`` / ``sweep``
-/ ``serve``) plus the blessed types, all named in an explicit
-``__all__``.  The old deep-import paths must keep working unchanged.
+The facade is the one documented surface: three verbs (``solve`` /
+``sweep`` / ``serve``) plus the blessed types, all named in an explicit
+``__all__``.  ``repro`` re-exports exactly that ``__all__``, and no other
+package ``__init__`` binds one of its names.
 """
 
 from __future__ import annotations
+
+import importlib
+import pkgutil
+import types
 
 import numpy as np
 import pytest
@@ -49,7 +54,8 @@ class TestSurface:
         from repro.engine.problem import LifetimeProblem
         from repro.engine.result import LifetimeResult
         from repro.engine.sweep import SweepCache, SweepSpec, scenario_fingerprint
-        from repro.service import LifetimeQuery, LifetimeService
+        from repro.service.query import LifetimeQuery
+        from repro.service.server import LifetimeService
 
         assert api.LifetimeProblem is LifetimeProblem
         assert api.LifetimeResult is LifetimeResult
@@ -60,15 +66,23 @@ class TestSurface:
         assert api.SweepCache is SweepCache
         assert api.scenario_fingerprint is scenario_fingerprint
 
-    def test_old_entry_points_keep_working(self) -> None:
-        from repro.engine import run_sweep, solve_lifetime
-        from repro.engine.registry import solve_lifetime as deep_solve
-        from repro.engine.sweep import run_sweep as deep_sweep
-
-        assert solve_lifetime is deep_solve
-        assert run_sweep is deep_sweep
-        assert repro.solve_lifetime is deep_solve
-        assert repro.run_sweep is deep_sweep
+    def test_one_facade(self) -> None:
+        """``repro`` mirrors ``repro.api``; no other package re-exports its names."""
+        assert repro.__all__ == [*api.__all__, "__version__"]
+        for name in api.__all__:
+            assert getattr(repro, name) is getattr(api, name), name
+        engine = importlib.import_module("repro.engine")
+        for name, value in vars(engine).items():
+            if not name.startswith("_"):
+                assert isinstance(value, types.ModuleType), f"repro.engine binds {name}"
+        packages = [info.name for info in pkgutil.walk_packages(repro.__path__, "repro.") if info.ispkg]
+        assert {"repro.engine", "repro.service"} <= set(packages)
+        for package_name in packages:
+            package = importlib.import_module(package_name)
+            assert not set(getattr(package, "__all__", ())) & set(api.__all__), package_name
+            for name in api.__all__:
+                bound = getattr(package, name, None)
+                assert bound is None or isinstance(bound, types.ModuleType), f"{package_name} binds {name}"
 
     def test_top_level_exports_service_types(self) -> None:
         assert repro.LifetimeService is api.LifetimeService
@@ -101,7 +115,7 @@ class TestVerbs:
         assert len(cache) == 1
 
     def test_sweep_rejects_legacy_kwargs(self) -> None:
-        from repro.engine import run_sweep
+        from repro.engine.sweep import run_sweep
 
         with pytest.raises(TypeError):
             api.sweep([make_problem()], "mrm-uniformization", max_workers=1)

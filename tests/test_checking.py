@@ -15,7 +15,6 @@ from repro.battery.parameters import KiBaMParameters
 from repro.checking import (
     CHECK_MODES,
     DEFAULT_DENSE_LIMIT,
-    ContractViolationWarning,
     DenseFallbackError,
     DiscretizedChain,
     audit_fingerprint_registry,
@@ -107,8 +106,8 @@ def test_validate_diagnostics_rejects_unknown_keys() -> None:
 
 
 def test_solver_diagnostics_stay_inside_the_schema(small_battery) -> None:
-    from repro.engine import solve_lifetime
     from repro.engine.problem import LifetimeProblem
+    from repro.engine.registry import solve_lifetime
 
     problem = LifetimeProblem(
         workload=onoff_workload(frequency=1.0),
@@ -156,8 +155,8 @@ def test_dense_fallback_respects_an_explicit_limit() -> None:
 # ----------------------------------------------------------------------
 
 
-def test_check_modes_are_the_documented_triple() -> None:
-    assert CHECK_MODES == ("strict", "warn", "off")
+def test_check_modes_are_the_documented_pair() -> None:
+    assert CHECK_MODES == ("strict", "off")
 
 
 def test_override_checks_wins_over_environment(monkeypatch) -> None:
@@ -165,8 +164,8 @@ def test_override_checks_wins_over_environment(monkeypatch) -> None:
     assert checks_mode() == "off"
     with override_checks("strict"):
         assert checks_mode() == "strict"
-        with override_checks("warn"):
-            assert checks_mode() == "warn"
+        with override_checks("off"):
+            assert checks_mode() == "off"
         assert checks_mode() == "strict"
     assert checks_mode() == "off"
 
@@ -181,8 +180,6 @@ def test_enforce_semantics() -> None:
     error = ValueError("broken contract")
     with pytest.raises(ValueError, match="broken contract"):
         enforce(error, mode="strict")
-    with pytest.warns(ContractViolationWarning, match="broken contract"):
-        enforce(error, mode="warn")
     enforce(error, mode="off")  # silent
 
 

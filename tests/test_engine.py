@@ -3,23 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.api import LifetimeProblem, ScenarioBatch, SolveWorkspace, available_solvers, default_delta
+from repro.battery.kibam import KineticBatteryModel
 from repro.battery.parameters import KiBaMParameters, rao_battery_parameters
 from repro.battery.profiles import ConstantLoad
-from repro.engine import (
-    LifetimeProblem,
-    ScenarioBatch,
-    SolveWorkspace,
-    UnknownSolverError,
-    UnsupportedProblemError,
-    available_solvers,
-    choose_method,
-    default_delta,
-    deterministic_lifetime,
-    discharge_trajectory,
-    get_solver,
-    solve_lifetime,
-)
-from repro.engine.solvers import MAX_AUTO_MRM_STATES
+from repro.engine.base import UnknownSolverError, UnsupportedProblemError
+from repro.engine.registry import get_solver, solve_lifetime
+from repro.engine.solvers import MAX_AUTO_MRM_STATES, choose_method
 from repro.workload.base import WorkloadModel
 from repro.workload.onoff import onoff_workload
 from repro.workload.simple import simple_workload
@@ -434,13 +424,15 @@ class TestScenarioBatch:
 
 
 class TestDeterministicHelpers:
+    """Deterministic load profiles run on the battery model itself."""
+
     def test_lifetime_from_parameters(self):
-        battery = KiBaMParameters(capacity=720.0, c=1.0, k=0.0)
-        lifetime = deterministic_lifetime(battery, ConstantLoad(1.0))
+        battery = KineticBatteryModel(KiBaMParameters(capacity=720.0, c=1.0, k=0.0))
+        lifetime = battery.lifetime(ConstantLoad(1.0))
         assert lifetime == pytest.approx(720.0, rel=1e-6)
 
     def test_trajectory_from_parameters(self):
-        battery = KiBaMParameters(capacity=720.0, c=1.0, k=0.0)
-        trajectory = discharge_trajectory(battery, ConstantLoad(1.0), [0.0, 360.0])
+        battery = KineticBatteryModel(KiBaMParameters(capacity=720.0, c=1.0, k=0.0))
+        trajectory = battery.discharge(ConstantLoad(1.0), [0.0, 360.0])
         assert trajectory.available_charge[0] == pytest.approx(720.0)
         assert trajectory.available_charge[1] == pytest.approx(360.0)

@@ -24,18 +24,8 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.api import ExecutionPolicy, RunOptions, SweepCache, SweepSpec
 from repro.battery.parameters import KiBaMParameters
-from repro.engine import (
-    ExecutionPolicy,
-    InjectedFaultError,
-    RunOptions,
-    SweepCache,
-    SweepScenarioError,
-    SweepSpec,
-    override_faults,
-    parse_faults,
-    run_sweep,
-)
 from repro.engine.diagnostics import validate_diagnostics
 from repro.engine.executor import (
     ChunkTask,
@@ -43,8 +33,16 @@ from repro.engine.executor import (
     SerialChunkExecutor,
     execute_chunks,
 )
-from repro.engine.faults import ENV_VAR, FaultDirective, FaultPlan, faults_spec
-from repro.engine.sweep import FAILED_METHOD
+from repro.engine.faults import (
+    ENV_VAR,
+    FaultDirective,
+    FaultPlan,
+    InjectedFaultError,
+    faults_spec,
+    override_faults,
+    parse_faults,
+)
+from repro.engine.sweep import FAILED_METHOD, SweepScenarioError, run_sweep
 
 TIMES = np.linspace(10.0, 400.0, 12)
 
@@ -410,8 +408,9 @@ class TestCheckpointResume:
 
             import numpy as np
 
+            from repro.api import ExecutionPolicy, RunOptions, SweepSpec
             from repro.battery.parameters import KiBaMParameters
-            from repro.engine import ExecutionPolicy, RunOptions, SweepSpec, run_sweep
+            from repro.engine.sweep import run_sweep
 
             spec = SweepSpec(
                 workloads=["simple"],

@@ -131,13 +131,13 @@ class TestDurableCachePlumbing:
         assert config.resume is False
 
     def test_sweep_options_without_config(self):
-        from repro.engine import RunOptions
+        from repro.api import RunOptions
         from repro.experiments.common import sweep_options
 
         assert sweep_options(None) == RunOptions(max_workers=1)
 
     def test_sweep_options_thread_cache_and_progress(self, monkeypatch, tmp_path):
-        from repro.engine import SweepCache
+        from repro.api import SweepCache
         from repro.experiments import common
 
         monkeypatch.setattr(common, "_SHARED_CACHES", {})

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson as scipy_poisson
 
-from repro.markov.poisson import PoissonWeights, fox_glynn, poisson_weights
+from repro.markov.poisson import PoissonWeights, fox_glynn
 
 
 class TestFoxGlynn:
@@ -61,7 +61,7 @@ class TestFoxGlynn:
     @given(rate=st.floats(min_value=0.01, max_value=5000.0, allow_nan=False))
     @settings(max_examples=30, deadline=None)
     def test_weights_are_a_distribution(self, rate):
-        weights = poisson_weights(rate)
+        weights = fox_glynn(rate)
         assert np.all(weights.weights >= 0)
         assert weights.total == pytest.approx(1.0, abs=1e-8)
         assert weights.left >= 0

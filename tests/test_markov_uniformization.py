@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.core.discretization import discretize
+from repro.core.kibamrm import KiBaMRM
+from repro.markov.generator import uniformized_matrix
 from repro.markov.transient import expm_transient
 from repro.markov.uniformization import TransientPropagator, uniformization_rate
+from repro.workload.onoff import onoff_workload
 
 
 class TestUniformizationRate:
@@ -15,6 +19,26 @@ class TestUniformizationRate:
 
     def test_all_absorbing_chain_gets_positive_rate(self):
         assert uniformization_rate(np.zeros((2, 2))) > 0
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "absorbing", "kibamrm"])
+    def test_propagator_uses_the_one_rule(self, three_state_generator, small_battery, kind):
+        if kind == "kibamrm":
+            model = KiBaMRM(workload=onoff_workload(frequency=1.0), battery=small_battery)
+            generator = discretize(model, 2.0).generator
+        else:
+            generator = {
+                "dense": three_state_generator,
+                "sparse": sp.csr_matrix(three_state_generator),
+                "absorbing": np.zeros((3, 3)),
+            }[kind]
+        propagator = TransientPropagator(generator)
+        rate = uniformization_rate(generator)
+        assert propagator.rate == rate
+        expected = uniformized_matrix(sp.csr_matrix(generator), rate)
+        actual = propagator.probability_matrix
+        assert np.array_equal(actual.data, expected.data)
+        assert np.array_equal(actual.indices, expected.indices)
+        assert np.array_equal(actual.indptr, expected.indptr)
 
 
 class TestTransientSolution:
@@ -84,11 +108,3 @@ class TestTransientSolution:
     def test_invalid_initial_distribution_rejected(self, three_state_generator):
         with pytest.raises(ValueError):
             TransientPropagator(three_state_generator).transient_batch([0.7, 0.0, 0.0], [1.0])
-
-    def test_custom_rate_gives_same_answer(self, three_state_generator):
-        alpha = np.array([1.0, 0.0, 0.0])
-        default = TransientPropagator(three_state_generator).transient_batch(alpha, [1.0])
-        custom = TransientPropagator(three_state_generator, rate=20.0).transient_batch(
-            alpha, [1.0]
-        )
-        assert np.allclose(default.values, custom.values, atol=1e-9)

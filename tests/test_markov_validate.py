@@ -15,7 +15,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.checking import ContractViolationWarning, override_checks
+from repro.checking import override_checks
 from repro.markov.kronecker import KroneckerGenerator, KroneckerTerm
 from repro.markov.validate import (
     ValidationError,
@@ -267,12 +267,6 @@ def test_check_hooks_raise_in_strict_mode(strict_checks) -> None:
         check_chain(_broken_chain())
     with pytest.raises(ValidationError):
         check_generator(_broken_chain().generator)
-
-
-def test_check_hooks_warn_in_warn_mode() -> None:
-    with override_checks("warn"):
-        with pytest.warns(ContractViolationWarning, match="row 0"):
-            check_chain(_broken_chain())
 
 
 def test_check_hooks_are_silent_when_off() -> None:

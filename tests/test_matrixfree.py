@@ -19,9 +19,11 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import ScenarioBatch
 from repro.battery.parameters import KiBaMParameters
-from repro.engine import ScenarioBatch, solve_lifetime
+from repro.checking import override_checks
 from repro.engine.batch import chain_merge_key
+from repro.engine.registry import solve_lifetime
 from repro.engine.solvers import choose_method
 from repro.engine.sweep import scenario_fingerprint
 from repro.engine.workspace import SolveWorkspace
@@ -177,7 +179,7 @@ class TestKroneckerOperator:
             operator.to_csr(max_bytes=8)
         assert assembled_csr_bytes(operator.nnz, chain.n_states) > 0
 
-    def test_assembly_handles_multi_factor_and_overlapping_terms(self):
+    def test_assembly_handles_multi_factor_and_overlapping_terms(self, strict_checks):
         """Every term the operator accepts: several factors, shared targets."""
         rng = np.random.default_rng(3)
         dims = (3, 4, 5)
@@ -206,7 +208,7 @@ class TestKroneckerOperator:
         np.testing.assert_allclose(
             uniformized.toarray(), identity + applied / rate, atol=1e-15  # repro-lint: allow RPR001 (60-state test operator)
         )
-        check_uniformized(uniformized, operator, mode="strict")
+        check_uniformized(uniformized, operator)
 
     def test_assembled_bank_holds_one_lean_p(self):
         """An assembled solve stores one n x n matrix, written near its own bytes.
@@ -257,21 +259,22 @@ class TestKroneckerOperator:
         assert final == assembled_csr_bytes(matrix.nnz, n)
         assert peak <= 1.25 * final, f"peak {peak} B is {peak / final:.2f}x the {final} B of P"
 
-    def test_tampered_probability_matrix_fails_the_check(self):
+    def test_tampered_probability_matrix_fails_the_check(self, strict_checks):
         system, delta = small_bank_system(2, "best-of")
         operator = system.discretize(delta, backend="assembled").generator
         matrix = operator.uniformized_csr(1.02 * exit_rates(operator).max())
-        check_uniformized(matrix, operator, mode="strict")
+        check_uniformized(matrix, operator)
         row = 7
         tampered = matrix.copy()
         tampered.data[tampered.indptr[row]] += 0.25
         with pytest.raises(ValidationError, match=f"row {row} "):
-            check_uniformized(tampered, operator, mode="strict")
+            check_uniformized(tampered, operator)
         negative = matrix.copy()
         negative.data[negative.indptr[row]] = -0.1
         with pytest.raises(ValidationError, match=f"row {row} "):
-            check_uniformized(negative, operator, mode="strict")
-        check_uniformized(tampered, operator, mode="off")
+            check_uniformized(negative, operator)
+        with override_checks("off"):
+            check_uniformized(tampered, operator)
 
     def test_operator_validation_rejects_bad_structure(self):
         with pytest.raises(GeneratorError):

@@ -14,22 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import LifetimeProblem, RunOptions, ScenarioBatch, SweepCache, SweepSpec
 from repro.battery.parameters import KiBaMParameters
 from repro.checking import dense_fallback
 from repro.core.discretization import discretize
 from repro.core.grid import RewardGrid
 from repro.core.kibamrm import KiBaMRM
-from repro.engine import (
-    LifetimeProblem,
-    RunOptions,
-    ScenarioBatch,
-    SweepCache,
-    SweepSpec,
-    run_sweep,
-    solve_lifetime,
-)
+from repro.engine.registry import solve_lifetime
 from repro.engine.solvers import choose_method
-from repro.engine.sweep import scenario_fingerprint
+from repro.engine.sweep import run_sweep, scenario_fingerprint
 from repro.engine.workspace import SolveWorkspace
 from repro.multibattery import (
     MultiBatteryProblem,

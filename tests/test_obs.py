@@ -17,16 +17,11 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.api import ExecutionPolicy, RunOptions, SweepCache, SweepSpec
 from repro.battery.parameters import KiBaMParameters
-from repro.engine import (
-    ExecutionPolicy,
-    RunOptions,
-    SweepCache,
-    SweepSpec,
-    override_faults,
-    run_sweep,
-)
 from repro.engine.diagnostics import validate_diagnostics
+from repro.engine.faults import override_faults
+from repro.engine.sweep import run_sweep
 from tools.repro_trace import load_spans, phase_breakdown, render_report, sweep_timeline
 
 TIMES = np.linspace(10.0, 400.0, 8)

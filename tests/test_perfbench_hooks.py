@@ -43,8 +43,8 @@ def test_traced_products_match_each_solve(tmp_path, monkeypatch) -> None:
     """
     import numpy as np
 
+    from repro.api import ScenarioBatch
     from repro.battery.parameters import KiBaMParameters
-    from repro.engine import ScenarioBatch
     from repro.engine.problem import LifetimeProblem
     from repro.workload.base import WorkloadModel
 

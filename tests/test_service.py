@@ -13,26 +13,23 @@ from __future__ import annotations
 
 import io
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from repro import obs
+from repro.api import LifetimeQuery, LifetimeService, RunOptions, SweepCache, SweepSpec, scenario_fingerprint
 from repro.battery.parameters import KiBaMParameters
 from repro.checking.fingerprints import audit_fingerprint_registry
-from repro.engine import (
-    RunOptions,
-    SweepCache,
-    SweepSpec,
-    UnknownSolverError,
-    run_sweep,
-    scenario_fingerprint,
-)
+from repro.engine.base import UnknownSolverError
 from repro.engine.diagnostics import validate_diagnostics
-from repro.service import LifetimeQuery, LifetimeService
+from repro.engine.sweep import run_sweep
 from repro.service.server import DEFAULT_STORE_ENTRIES
 from repro.workload.base import WorkloadModel
 
@@ -488,3 +485,46 @@ class TestServeFronts:
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
+
+    @staticmethod
+    @contextmanager
+    def _raw_query(content_length: str):
+        """A raw-socket ``POST /query`` with a 2-byte body and the given header."""
+        from http.server import ThreadingHTTPServer
+
+        from tools.repro_serve import _make_handler
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), _make_handler(LifetimeService()))
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with socket.create_connection(server.server_address[:2], timeout=2.0) as client:
+                client.sendall(
+                    b"POST /query HTTP/1.1\r\nHost: localhost\r\n"
+                    + f"Content-Length: {content_length}\r\n\r\n".encode()
+                    + b"{}"
+                )
+                # The server speaks HTTP/1.0: read until it closes.
+                yield lambda: b"".join(iter(lambda: client.recv(65536), b""))
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+
+    def test_http_rejects_a_negative_content_length(self) -> None:
+        started = time.perf_counter()
+        with self._raw_query("-1") as read_reply:
+            reply = read_reply()
+        assert time.perf_counter() - started < 2.0
+        assert reply.startswith(b"HTTP/1.0 400")
+        assert b"Content-Length must be non-negative" in reply
+
+    def test_http_short_body_cannot_hold_a_thread(self, monkeypatch) -> None:
+        import tools.repro_serve
+
+        monkeypatch.setattr(tools.repro_serve, "REQUEST_TIMEOUT_SECONDS", 0.5)
+        started = time.perf_counter()
+        with self._raw_query("100") as read_reply:
+            reply = read_reply()  # a response or a close, not a client timeout
+        assert time.perf_counter() - started < 2.0
+        assert reply == b"" or reply.startswith(b"HTTP/1.0 400")

@@ -5,18 +5,9 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.api import LifetimeProblem, RunOptions, ScenarioBatch, SweepCache, SweepSpec, scenario_fingerprint
 from repro.battery.parameters import KiBaMParameters
-from repro.engine import (
-    LifetimeProblem,
-    RunOptions,
-    ScenarioBatch,
-    SweepCache,
-    SweepScenarioError,
-    SweepSpec,
-    run_sweep,
-    scenario_fingerprint,
-)
-from repro.engine.sweep import CACHE_SCHEMA_VERSION, _partition, default_worker_count
+from repro.engine.sweep import CACHE_SCHEMA_VERSION, SweepScenarioError, _partition, default_worker_count, run_sweep
 from repro.workload.onoff import onoff_workload
 
 TIMES = np.linspace(2000.0, 6000.0, 9)

@@ -142,18 +142,6 @@ class TestSteadyStateDetection:
         # At the horizon everything is absorbed.
         assert fast.values[0, -1, -1] == pytest.approx(1.0, abs=1e-8)
 
-    def test_detection_can_be_disabled(self):
-        alpha = np.array([1.0, 0.0, 0.0, 0.0])
-        times = np.linspace(0.0, 50.0, 16)
-        propagator = TransientPropagator(ABSORBING)
-        undetected = propagator.transient_batch(
-            alpha, times, mode="incremental", steady_state_tol=0.0
-        )
-        assert undetected.steady_state_time is None
-        assert undetected.iterations_saved == 0
-        detected = propagator.transient_batch(alpha, times, mode="incremental")
-        assert np.allclose(undetected.values, detected.values, atol=1e-8)
-
     def test_fully_absorbing_chain_detects_immediately(self):
         # All rates zero: P = I, so the very first product finds the
         # distribution invariant.
@@ -179,8 +167,8 @@ class TestEngineThreading:
     """The fast path and its diagnostics flow through the engine layers."""
 
     def _problem(self):
+        from repro.api import LifetimeProblem
         from repro.battery.parameters import KiBaMParameters
-        from repro.engine import LifetimeProblem
         from repro.workload.onoff import onoff_workload
 
         return LifetimeProblem(
@@ -191,7 +179,7 @@ class TestEngineThreading:
         )
 
     def test_solver_reports_fast_path_diagnostics(self):
-        from repro.engine import solve_lifetime
+        from repro.engine.registry import solve_lifetime
 
         result = solve_lifetime(self._problem(), "mrm-uniformization")
         assert result.diagnostics["n_segments"] == 40

@@ -1,6 +1,6 @@
 """Thin CLI / HTTP front of the lifetime-query service.
 
-Wraps :class:`repro.service.LifetimeService` (the blessed constructor is
+Wraps :class:`repro.api.LifetimeService` (the blessed constructor is
 :func:`repro.api.serve`) in two transports:
 
 * **JSONL** (default): read one JSON query per line from a file or
@@ -20,7 +20,7 @@ Wraps :class:`repro.service.LifetimeService` (the blessed constructor is
   - ``GET  /healthz`` -- liveness probe.
 
 The query document format is
-:meth:`repro.service.LifetimeQuery.from_mapping`; responses carry the
+:meth:`repro.api.LifetimeQuery.from_mapping`; responses carry the
 lifetime CDF plus the schema-validated diagnostics (``served_from``,
 ``query_fingerprint``, ``query_id``, ``service_latency_seconds``, and
 the solver telemetry).
@@ -36,10 +36,15 @@ from typing import Any, IO, Mapping
 
 import numpy as np
 
-from repro.api import serve
-from repro.service import DEFAULT_STORE_ENTRIES, LifetimeQuery, LifetimeService, ServiceResponse
+from repro.api import LifetimeQuery, LifetimeService, ServiceResponse, serve
+from repro.service.server import DEFAULT_STORE_ENTRIES
 
 __all__ = ["build_service", "handle_payload", "main", "response_document", "run_jsonl"]
+
+#: Seconds an HTTP connection may stall on a read before its handler gives
+#: up on it, so a body shorter than its ``Content-Length`` cannot hold a
+#: server thread forever.
+REQUEST_TIMEOUT_SECONDS = 30.0
 
 
 def _jsonable(value: Any) -> Any:
@@ -107,6 +112,8 @@ def run_jsonl(service: LifetimeService, source: IO[str], sink: IO[str]) -> int:
 # ----------------------------------------------------------------------
 def _make_handler(service: LifetimeService) -> type[BaseHTTPRequestHandler]:
     class Handler(BaseHTTPRequestHandler):
+        timeout = REQUEST_TIMEOUT_SECONDS
+
         def _send(self, status: int, document: dict[str, Any]) -> None:
             body = json.dumps(document).encode("utf-8")
             self.send_response(status)
@@ -132,6 +139,8 @@ def _make_handler(service: LifetimeService) -> type[BaseHTTPRequestHandler]:
                 return
             try:
                 length = int(self.headers.get("Content-Length", "0"))
+                if length < 0:
+                    raise ValueError(f"Content-Length must be non-negative, got {length}")
                 payload = json.loads(self.rfile.read(length).decode("utf-8"))
                 self._send(200, handle_payload(service, payload))
             except Exception as exc:
