@@ -9,8 +9,7 @@ segment.
 The paper's deterministic experiments only need two kinds of profiles --
 constant loads and 50 %-duty-cycle square waves -- but the generic
 :class:`PiecewiseConstantLoad` makes it possible to evaluate arbitrary
-current traces (for example, traces sampled from a stochastic workload, see
-:mod:`repro.simulation.battery_sim`).
+current traces (for example, traces sampled from a stochastic workload).
 """
 
 from __future__ import annotations

@@ -32,7 +32,6 @@ from __future__ import annotations
 from repro.checking.contracts import (
     CHECK_MODES,
     checks_mode,
-    enforce,
     override_checks,
 )
 from repro.checking.dense import DEFAULT_DENSE_LIMIT, DenseFallbackError, dense_fallback
@@ -62,7 +61,6 @@ __all__ = [
     "audit_fingerprint_registry",
     "checks_mode",
     "dense_fallback",
-    "enforce",
     "override_checks",
     "registered_fields",
 ]

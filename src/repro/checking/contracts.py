@@ -32,7 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "CHECK_MODES",
     "checks_mode",
-    "enforce",
     "override_checks",
 ]
 
@@ -82,14 +81,3 @@ def override_checks(mode: str) -> "Iterator[None]":
         yield
     finally:
         _override = previous
-
-
-def enforce(error: Exception, *, mode: str | None = None) -> None:
-    """Report a contract violation according to the active mode.
-
-    ``strict`` raises *error*, ``off`` does nothing.  Callers that already
-    know the mode can pass it to save the lookup.
-    """
-    active = checks_mode() if mode is None else mode
-    if active == "strict":
-        raise error

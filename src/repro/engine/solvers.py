@@ -31,7 +31,6 @@ import numpy as np
 
 from repro import obs
 from repro.analysis.distribution import LifetimeDistribution
-from repro.battery.kibam import KineticBatteryModel
 from repro.core.discretization import place_initial_distribution
 from repro.engine.base import UnsupportedProblemError
 from repro.engine.problem import LifetimeProblem
@@ -39,7 +38,6 @@ from repro.engine.result import LifetimeResult
 from repro.engine.workspace import SolveWorkspace
 from repro.markov.poisson import poisson_cache_diagnostics
 from repro.reward.occupation import two_level_lifetime_cdf
-from repro.simulation.battery_sim import default_horizon
 from repro.simulation.lifetime_sim import (
     default_system_horizon,
     simulate_lifetime_distribution,
@@ -291,9 +289,10 @@ STEADY_STATE_HORIZON_SAFETY = 1.25
 class MonteCarloSolver:
     """Monte-Carlo estimation along sampled workload trajectories.
 
-    Multi-battery problems are dispatched to the vectorised *system*
-    simulator, which samples per-battery trajectories under the problem's
-    scheduling policy.
+    Every problem runs on the one vectorised engine
+    (:func:`~repro.simulation.vectorized.simulate_system_lifetimes_vectorized`):
+    a bank under the problem's scheduling policy, a single battery as a
+    bank of one.
 
     When no explicit horizon is given and a previous MRM solve in the same
     workspace detected the chain's steady state (the lifetime CDF is flat
@@ -321,11 +320,8 @@ class MonteCarloSolver:
             return None, diagnostics
         diagnostics["steady_state_horizon_hint"] = hint
         cap = STEADY_STATE_HORIZON_SAFETY * hint
-        if problem.is_multibattery:
-            default = default_system_horizon(problem.workload, problem.batteries)
-        else:
-            default = default_horizon(problem.workload, KineticBatteryModel(problem.battery))
-        if cap >= default:
+        batteries = problem.batteries if problem.is_multibattery else (problem.battery,)
+        if cap >= default_system_horizon(problem.workload, batteries):
             return None, diagnostics
         diagnostics["horizon_capped_by_steady_state"] = True
         return cap, diagnostics
@@ -349,7 +345,7 @@ class MonteCarloSolver:
             else:
                 simulation = simulate_lifetime_distribution(
                     problem.workload,
-                    KineticBatteryModel(problem.battery),
+                    problem.battery,
                     n_runs=problem.n_runs,
                     seed=problem.seed,
                     horizon=horizon,

@@ -9,7 +9,7 @@ library is built on:
 * transient solution of CTMCs via uniformisation, for a stack of initial
   distributions and many time points at once
   (:meth:`repro.markov.uniformization.TransientPropagator.transient_batch`,
-  checked against the oracles of :mod:`repro.markov.transient`),
+  checked against the dense oracles of ``tests/oracles/transient.py``),
 * steady-state solution (:mod:`repro.markov.steady_state`),
 * structural chain validation -- generator laws, absorbing reachability,
   Kronecker-operator consistency, exact lumping quotients -- always on for

@@ -712,44 +712,32 @@ class UniformizedOperator:
     :class:`~repro.markov.uniformization.TransientPropagator` guarantees
     when it constructs this wrapper.
 
-    Two evaluation forms:
-
-    * ``fused=True`` (the default) pre-folds the uniformisation into the
-      operator data: the diagonal becomes ``1 + diag(Q)/rate`` and each
-      term's ``1/rate`` is multiplied into one *small* factor (or the
-      scalar gain of a factorless term), so ``v @ P`` is a single
-      :func:`_apply_terms` sweep -- no ``v + (v Q)/rate`` post-pass, no
-      extra full-space temporaries.
-    * ``fused=False`` keeps the literal two-step form
-      ``v + (v @ Q) / rate`` on top of :meth:`KroneckerGenerator.apply`;
-      it is retained as the cross-check baseline the fused path is
-      benchmarked and tested against.
-
-    Both forms agree to machine precision (the folding only reassociates
-    scalar multiplications).
+    The uniformisation is pre-folded into the operator data: the diagonal
+    becomes ``1 + diag(Q)/rate`` and each term's ``1/rate`` is multiplied
+    into one *small* factor (or the scalar gain of a factorless term), so
+    ``v @ P`` is a single :func:`_apply_terms` sweep -- no
+    ``v + (v Q)/rate`` post-pass, no extra full-space temporaries.  It
+    agrees with the literal ``v + (v @ Q) / rate`` to machine precision
+    (the folding only reassociates scalar multiplications).
     """
 
     __array_ufunc__: None = None
 
-    def __init__(
-        self, generator: KroneckerGenerator, rate: float, *, fused: bool = True
-    ) -> None:
+    def __init__(self, generator: KroneckerGenerator, rate: float) -> None:
         if rate <= 0.0:
             raise GeneratorError(f"uniformisation rate must be positive, got {rate}")
         self._generator = generator
         self._rate = float(rate)
-        self._fused = bool(fused)
-        if self._fused:
-            gain = 1.0 / self._rate
-            self._diag_p = 1.0 + generator.diagonal() * gain
-            folded = []
-            for scale_groups, factors, term_gain in generator._fused_terms:
-                if factors:
-                    factors = factors[:-1] + (factors[-1].scaled(gain),)
-                    folded.append((scale_groups, factors, 1.0))
-                else:
-                    folded.append((scale_groups, factors, term_gain * gain))
-            self._fused_terms = tuple(folded)
+        gain = 1.0 / self._rate
+        self._diag_p = 1.0 + generator.diagonal() * gain
+        folded = []
+        for scale_groups, factors, term_gain in generator._fused_terms:
+            if factors:
+                factors = factors[:-1] + (factors[-1].scaled(gain),)
+                folded.append((scale_groups, factors, 1.0))
+            else:
+                folded.append((scale_groups, factors, term_gain * gain))
+        self._fused_terms = tuple(folded)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -762,11 +750,6 @@ class UniformizedOperator:
         return self._rate
 
     @property
-    def fused(self) -> bool:
-        """Whether the folded single-sweep evaluation form is active."""
-        return self._fused
-
-    @property
     def generator(self) -> KroneckerGenerator:
         """The wrapped matrix-free generator."""
         return self._generator
@@ -774,8 +757,6 @@ class UniformizedOperator:
     def apply(self, block: Any) -> Any:
         """Evaluate ``block @ P`` for a vector ``(n,)`` or a block ``(K, n)``."""
         array = np.asarray(block, dtype=float)
-        if not self._fused:
-            return array + self._generator.apply(array) / self._rate
         squeeze = array.ndim == 1
         rows = array[None, :] if squeeze else array
         if rows.ndim != 2 or rows.shape[1] != self.shape[0]:

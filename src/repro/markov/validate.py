@@ -37,7 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from repro.checking.contracts import checks_mode, enforce
+from repro.checking.contracts import checks_mode
 from repro.markov.generator import DEFAULT_TOLERANCE, GeneratorError, exit_rates
 from repro.markov.kronecker import KroneckerGenerator
 
@@ -508,13 +508,9 @@ def check_generator(generator: Any, *, rate: float | None = None) -> None:
     mode (see :mod:`repro.checking.contracts`).  In ``off`` mode this is a
     single dictionary lookup.
     """
-    active = checks_mode()
-    if active == "off":
+    if checks_mode() == "off":
         return
-    try:
-        validate_generator(generator, rate=rate)
-    except ValidationError as error:
-        enforce(error, mode=active)
+    validate_generator(generator, rate=rate)
 
 
 def check_uniformized(matrix: sp.csr_matrix, generator: KroneckerGenerator) -> None:
@@ -524,15 +520,11 @@ def check_uniformized(matrix: sp.csr_matrix, generator: KroneckerGenerator) -> N
     implies: its off-diagonal non-zeros plus one diagonal slot per state.
     In ``off`` mode this is a single dictionary lookup.
     """
-    active = checks_mode()
-    if active == "off":
+    if checks_mode() == "off":
         return
     diagonal = generator.diagonal()
     expected = generator.nnz - int(np.count_nonzero(diagonal)) + diagonal.size
-    try:
-        validate_stochastic(matrix, expected_nnz=expected)
-    except ValidationError as error:
-        enforce(error, mode=active)
+    validate_stochastic(matrix, expected_nnz=expected)
 
 
 def check_chain(chain: Any) -> None:
@@ -545,21 +537,17 @@ def check_chain(chain: Any) -> None:
     operator is assembled with ``to_csr()`` for that check, whichever
     backend applies it.
     """
-    active = checks_mode()
-    if active == "off":
+    if checks_mode() == "off":
         return
     generator = chain.generator
-    try:
-        validate_generator(generator)
-        empty = getattr(chain, "empty_states", None)
-        if (
-            empty is not None
-            and (sp.issparse(generator) or isinstance(generator, KroneckerGenerator))
-            and generator.shape[0] <= REACHABILITY_STATE_LIMIT
-            and np.asarray(empty).size
-        ):
-            if isinstance(generator, KroneckerGenerator):
-                generator = generator.to_csr()
-            validate_absorbing(generator, chain.initial_distribution, empty)
-    except ValidationError as error:
-        enforce(error, mode=active)
+    validate_generator(generator)
+    empty = getattr(chain, "empty_states", None)
+    if (
+        empty is not None
+        and (sp.issparse(generator) or isinstance(generator, KroneckerGenerator))
+        and generator.shape[0] <= REACHABILITY_STATE_LIMIT
+        and np.asarray(empty).size
+    ):
+        if isinstance(generator, KroneckerGenerator):
+            generator = generator.to_csr()
+        validate_absorbing(generator, chain.initial_distribution, empty)

@@ -100,10 +100,11 @@ class SchedulingPolicy:
     ) -> float | None:
         """Upper bound on the simulator's policy re-evaluation interval.
 
-        ``None`` means the policy only needs re-evaluation at workload,
-        phase and depletion events (its weights are constant in between).
-        State-dependent policies return a finite interval so the simulator
-        tracks the charge ordering they route by.
+        ``None`` promises that the weights depend only on the phase and on
+        which batteries are alive, never on the charge levels: the simulator
+        then re-evaluates them only after a depletion or a phase switch.
+        Policies whose weights read the levels return a finite interval, so
+        the simulator tracks the charge ordering they route by.
         """
         return None
 

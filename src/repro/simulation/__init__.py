@@ -7,16 +7,18 @@ distribution of the resulting lifetimes is the reference curve in
 Figures 7, 8 and 10.  This sub-package provides exactly that machinery:
 
 * :mod:`repro.simulation.rng` -- reproducible random-number generators,
-* :mod:`repro.simulation.trajectory` -- CTMC trajectory sampling,
-* :mod:`repro.simulation.battery_sim` -- integrating a battery model along a
-  sampled trajectory,
+* :mod:`repro.simulation.vectorized` -- the one Monte-Carlo engine, which
+  advances every run of a battery bank at once (a single battery is a bank
+  of one),
 * :mod:`repro.simulation.lifetime_sim` -- Monte-Carlo estimation of the
   lifetime distribution with confidence bands,
 * :mod:`repro.simulation.statistics` -- empirical CDFs and summary
   statistics.
+
+The per-trajectory simulator the engine is checked against is a test
+oracle (``tests/oracles/trajectory.py``).
 """
 
-from repro.simulation.battery_sim import simulate_battery_on_trajectory, simulate_lifetime_once
 from repro.simulation.lifetime_sim import LifetimeSimulationResult, simulate_lifetime_distribution
 from repro.simulation.rng import make_rng, spawn_rngs, spawn_seeds
 from repro.simulation.statistics import (
@@ -24,18 +26,13 @@ from repro.simulation.statistics import (
     dkw_confidence_band,
     summarize_samples,
 )
-from repro.simulation.trajectory import Trajectory, sample_trajectory
 
 __all__ = [
     "EmpiricalDistribution",
     "LifetimeSimulationResult",
-    "Trajectory",
     "dkw_confidence_band",
     "make_rng",
-    "sample_trajectory",
-    "simulate_battery_on_trajectory",
     "simulate_lifetime_distribution",
-    "simulate_lifetime_once",
     "spawn_rngs",
     "spawn_seeds",
     "summarize_samples",

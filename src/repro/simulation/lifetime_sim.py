@@ -3,7 +3,11 @@
 Section 6 of the paper uses 1000 independent simulation runs as the
 reference against which the Markovian approximation is compared.  The
 :func:`simulate_lifetime_distribution` function reproduces that procedure
-and packages the result as an empirical CDF with DKW confidence bands.
+for one battery, :func:`simulate_system_lifetime_distribution` for a bank
+under a scheduling policy; both package the samples of the one engine
+(:func:`~repro.simulation.vectorized.simulate_system_lifetimes_vectorized`,
+where a single battery is a bank of one) as an empirical CDF with DKW
+confidence bands.
 """
 
 from __future__ import annotations
@@ -12,19 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.battery.base import Battery
-from repro.battery.kibam import KineticBatteryModel
-from repro.simulation.battery_sim import (
-    default_horizon,
-    ideal_lifetime_horizon,
-    simulate_lifetime_once,
-)
+from repro.battery.parameters import KiBaMParameters
 from repro.simulation.rng import make_rng
 from repro.simulation.statistics import EmpiricalDistribution, summarize_samples
-from repro.simulation.vectorized import (
-    simulate_lifetimes_vectorized,
-    simulate_system_lifetimes_vectorized,
-)
+from repro.simulation.vectorized import simulate_system_lifetimes_vectorized
 from repro.workload.base import WorkloadModel
 
 __all__ = [
@@ -33,6 +28,9 @@ __all__ = [
     "simulate_lifetime_distribution",
     "simulate_system_lifetime_distribution",
 ]
+
+#: Multiple of the ideal lifetime that the default simulation horizons span.
+HORIZON_SAFETY_FACTOR = 3.0
 
 
 @dataclass(frozen=True)
@@ -76,20 +74,24 @@ class LifetimeSimulationResult:
 
 def simulate_lifetime_distribution(
     workload: WorkloadModel,
-    battery: Battery,
+    battery: KiBaMParameters,
     *,
     n_runs: int = 1000,
     seed: int | np.random.Generator | None = None,
     horizon: float | None = None,
 ) -> LifetimeSimulationResult:
-    """Estimate the lifetime distribution by independent simulation runs.
+    """Estimate one battery's lifetime distribution by independent simulation runs.
+
+    The battery runs as the bank ``(battery,)`` under ``static-split``
+    (see :func:`simulate_system_lifetime_distribution`).
 
     Parameters
     ----------
     workload:
         The stochastic workload model.
     battery:
-        The battery model integrated along each sampled trajectory.
+        The KiBaM parameters; the analytical KiBaM is integrated along each
+        sampled trajectory.
     n_runs:
         Number of independent runs (the paper uses 1000).
     seed:
@@ -98,49 +100,29 @@ def simulate_lifetime_distribution(
         Per-run time horizon; defaults to three ideal lifetimes at the
         workload's mean current.
 
-    Notes
-    -----
-    When *battery* is an analytical :class:`KineticBatteryModel` (the case
-    in all of the paper's experiments) the replications are advanced with
-    the vectorised engine of :mod:`repro.simulation.vectorized`; other
-    battery models fall back to the per-trajectory simulation.
-
     Returns
     -------
     LifetimeSimulationResult
     """
-    if n_runs < 1:
-        raise ValueError("n_runs must be at least 1")
-    rng = make_rng(seed)
-    if horizon is None:
-        horizon = default_horizon(workload, battery)
-
-    if isinstance(battery, KineticBatteryModel):
-        samples = simulate_lifetimes_vectorized(
-            workload, battery.parameters, n_runs, rng, float(horizon)
-        )
-    else:
-        samples = np.empty(n_runs, dtype=float)
-        for run in range(n_runs):
-            samples[run] = simulate_lifetime_once(workload, battery, rng, horizon=horizon)
-
-    return LifetimeSimulationResult(
-        samples=samples,
-        distribution=EmpiricalDistribution(samples),
-        horizon=float(horizon),
-        n_runs=int(n_runs),
+    return simulate_system_lifetime_distribution(
+        workload, (battery,), "static-split", n_runs=n_runs, seed=seed, horizon=horizon
     )
 
 
 def default_system_horizon(workload: WorkloadModel, batteries) -> float:
     """Return a horizon that almost surely exceeds the system lifetime.
 
-    The bank delivers at most the sum of its capacities, so the shared
-    heuristic (:func:`~repro.simulation.battery_sim.ideal_lifetime_horizon`)
-    applied to the total capacity bounds every policy's system lifetime.
+    The bank delivers at most the sum of its capacities, so
+    :data:`HORIZON_SAFETY_FACTOR` times the ideal lifetime of the total
+    capacity at the workload's long-run mean current bounds every policy's
+    system lifetime; a non-positive mean current falls back to a large
+    constant.
     """
+    mean_current = workload.mean_current()
+    if mean_current <= 0:
+        return 1_000_000.0
     total_capacity = float(sum(battery.capacity for battery in batteries))
-    return ideal_lifetime_horizon(workload.mean_current(), total_capacity)
+    return HORIZON_SAFETY_FACTOR * total_capacity / mean_current
 
 
 def simulate_system_lifetime_distribution(

@@ -1,25 +1,27 @@
-"""Vectorised Monte-Carlo engine for KiBaM lifetime simulation.
+"""The Monte-Carlo engine: vectorised KiBaM lifetime simulation of a battery bank.
 
-The straightforward per-trajectory simulation of
-:mod:`repro.simulation.trajectory` spends most of its time in Python-level
-per-sojourn bookkeeping, which is painful for workloads with many
-transitions per lifetime (the 1 Hz on/off model goes through tens of
-thousands of sojourns before the battery dies).  This module advances *all*
-runs simultaneously with numpy array operations:
+This is the library's one simulator.  A single battery is simulated as a
+bank of one under ``static-split``, which routes it the whole current, so
+the paper's single-battery reference curves and the multi-battery
+cross-checks share one step loop.  It advances *all* replications
+simultaneously with numpy array operations:
 
-* one step samples the sojourn times and successor states of every
-  still-running replication at once,
-* the KiBaM wells are advanced with the closed-form constant-current
+* one step covers the time to the next event of any kind (a workload
+  transition, a policy phase switch, a policy re-evaluation epoch, a
+  battery depletion or the horizon) for every still-running replication
+  at once,
+* every battery's wells follow the closed-form constant-current KiBaM
   solution, vectorised over the replications,
-* runs whose available charge would drop below zero are finished by a
+* a battery whose available charge would drop below zero is finished by a
   bracketed root search on the analytic expression (one scalar search per
-  run over its whole lifetime, so this never dominates).
+  run and battery over the run's whole lifetime, so this never dominates).
 
 For constant-current segments started from a physically reachable KiBaM
 state the available charge has no interior minimum below the segment
 endpoints (the height difference relaxes monotonically towards an asymptote
 strictly below ``I/k``), so checking the end-of-segment value detects every
-battery death exactly.
+battery death exactly.  The per-trajectory simulator this engine is checked
+against is a test oracle (``tests/oracles/trajectory.py``).
 """
 
 from __future__ import annotations
@@ -27,11 +29,41 @@ from __future__ import annotations
 import numpy as np
 
 from repro.battery.kibam import KiBaMState, KineticBatteryModel
-from repro.battery.parameters import KiBaMParameters
-from repro.simulation.trajectory import cumulative_jump_probabilities
 from repro.workload.base import WorkloadModel
 
-__all__ = ["simulate_lifetimes_vectorized", "simulate_system_lifetimes_vectorized"]
+__all__ = ["cumulative_jump_probabilities", "simulate_system_lifetimes_vectorized"]
+
+#: A timer at or below this many seconds has run out: subtracting a step
+#: from the timer that set it may leave round-off instead of zero.
+EXPIRED = 1e-12
+
+
+def cumulative_jump_probabilities(generator: np.ndarray) -> np.ndarray:
+    """Return the cumulative jump-probability matrix of a CTMC's embedded chain.
+
+    Row ``s`` is the cumulative distribution of the successor sampled when
+    the CTMC leaves state ``s``: drawing ``u ~ U[0, 1)`` and taking
+    ``searchsorted(row, u, side="right")`` (equivalently, counting the
+    entries ``<= u``) yields the successor index, with zero-width bins --
+    zero-probability successors -- skipped even when ``u`` lands exactly on
+    their boundary.  An absorbing state (``rate <= 0``) self-loops: its row
+    is 0 up to (but excluding) the state's own index and 1 from it on, so
+    every ``u`` maps back to the state itself.  (An all-ones row would map
+    every ``u`` to state 0 instead, silently restarting the workload.)
+    The engine samples both the workload and a policy's phase clock this way.
+    """
+    n = generator.shape[0]
+    cumulative = np.zeros((n, n))
+    for state in range(n):
+        rate = -generator[state, state]
+        if rate <= 0.0:
+            cumulative[state, state:] = 1.0
+            continue
+        row = generator[state].copy()
+        row[state] = 0.0
+        cumulative[state] = np.cumsum(row / rate)
+        cumulative[state, -1] = 1.0
+    return cumulative
 
 
 def _step_wells(
@@ -44,7 +76,7 @@ def _step_wells(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance the KiBaM wells by *dt* at constant *currents* (vectorised)."""
     if c >= 1.0 or k <= 0.0:
-        return y1 - currents * dt, y2.copy()
+        return y1 - currents * dt, y2
     # Cancellation-free form of the constant-current solution (see
     # KineticBatteryModel._available_at): the asymptote contribution is
     # evaluated as (I/c) t (1 - e^{-k' t})/(k' t), which stays finite and
@@ -53,100 +85,13 @@ def _step_wells(
     delta0 = y2 / (1.0 - c) - y1 / c
     x = k_prime * dt
     growth = -np.expm1(-x)
-    factor = np.ones_like(np.asarray(x, dtype=float))
-    positive = x > 0.0
-    factor = np.divide(growth, x, out=factor, where=positive)
+    factor = np.ones_like(x)
+    np.divide(growth, x, out=factor, where=x > 0.0)
     delta = delta0 * (1.0 - growth) + (currents / c) * dt * factor
     total = y1 + y2 - currents * dt
     new_y1 = c * total - c * (1.0 - c) * delta
     new_y2 = total - new_y1
     return new_y1, new_y2
-
-
-def simulate_lifetimes_vectorized(
-    workload: WorkloadModel,
-    battery: KiBaMParameters,
-    n_runs: int,
-    rng: np.random.Generator,
-    horizon: float,
-) -> np.ndarray:
-    """Return *n_runs* independent lifetime samples (``inf`` when censored).
-
-    Parameters
-    ----------
-    workload:
-        The CTMC workload model.
-    battery:
-        KiBaM parameters; the analytical KiBaM is integrated along every
-        sampled trajectory.
-    n_runs:
-        Number of independent replications.
-    rng:
-        Random-number generator.
-    horizon:
-        Per-run time horizon (seconds); runs that survive it are censored.
-    """
-    if n_runs < 1:
-        raise ValueError("n_runs must be at least 1")
-    if horizon <= 0:
-        raise ValueError("the horizon must be positive")
-
-    model = KineticBatteryModel(battery)
-    c = battery.c
-    k = battery.k
-
-    exit_rates = -np.diag(workload.generator)
-    currents_per_state = workload.currents
-    cumulative = cumulative_jump_probabilities(workload)
-
-    states = rng.choice(workload.n_states, size=n_runs, p=workload.initial_distribution)
-    y1 = np.full(n_runs, battery.available_capacity)
-    y2 = np.full(n_runs, battery.bound_capacity)
-    elapsed = np.zeros(n_runs)
-    lifetimes = np.full(n_runs, np.inf)
-    active = np.arange(n_runs)
-
-    while active.size > 0:
-        current_states = states[active]
-        rates = exit_rates[current_states]
-        sojourns = np.empty(active.size)
-        positive = rates > 0.0
-        sojourns[positive] = rng.exponential(1.0, size=int(positive.sum())) / rates[positive]
-        sojourns[~positive] = np.inf
-        remaining = horizon - elapsed[active]
-        truncated = sojourns >= remaining
-        sojourns = np.minimum(sojourns, remaining)
-
-        currents = currents_per_state[current_states]
-        new_y1, new_y2 = _step_wells(y1[active], y2[active], currents, sojourns, c, k)
-
-        died = new_y1 <= 0.0
-        if np.any(died):
-            died_runs = active[died]
-            for position, run in zip(np.nonzero(died)[0], died_runs):
-                state = KiBaMState(available=float(y1[run]), bound=float(y2[run]))
-                crossing = model.time_to_empty(state, float(currents[position]), float(sojourns[position]))
-                if crossing is None:
-                    # Round-off straddling zero: the battery dies at the end
-                    # of the segment.
-                    crossing = float(sojourns[position])
-                lifetimes[run] = elapsed[run] + crossing
-
-        survivors = ~died
-        surviving_runs = active[survivors]
-        y1[surviving_runs] = np.maximum(new_y1[survivors], 0.0)
-        y2[surviving_runs] = np.maximum(new_y2[survivors], 0.0)
-        elapsed[surviving_runs] += sojourns[survivors]
-
-        # Runs that reached the horizon without dying are censored.
-        still_running = surviving_runs[~truncated[survivors]]
-        if still_running.size > 0:
-            states[still_running] = _sample_successors(
-                cumulative, states[still_running], rng
-            )
-        active = still_running
-
-    return lifetimes
 
 
 def _sample_successors(cumulative: np.ndarray, states: np.ndarray, rng) -> np.ndarray:
@@ -158,6 +103,29 @@ def _sample_successors(cumulative: np.ndarray, states: np.ndarray, rng) -> np.nd
     """
     uniforms = rng.random(states.size)
     return (uniforms[:, None] >= cumulative[states]).sum(axis=1)
+
+
+def _sample_timers(rates: np.ndarray, rng) -> np.ndarray:
+    """Exponential holding times at *rates*; a zero rate never fires."""
+    timers = np.full(rates.shape, np.inf)
+    ticking = rates > 0.0
+    timers[ticking] = rng.exponential(1.0, size=int(ticking.sum())) / rates[ticking]
+    return timers
+
+
+def _expired(timers: np.ndarray, smooth: np.ndarray | None) -> np.ndarray:
+    """Indices of the runs whose timer ran out, among the *smooth* ones."""
+    expired = timers <= EXPIRED
+    if smooth is not None:
+        expired &= smooth
+    return np.flatnonzero(expired)
+
+
+def _routing_shares(policy, y1, dead, phases) -> np.ndarray:
+    """Each battery's share of the current, as an ``(N, runs)`` array."""
+    weights = policy.routing_weights(np.column_stack(y1), ~dead)
+    chosen = weights[0] if phases is None else weights[phases, np.arange(phases.size)]
+    return np.ascontiguousarray(chosen.T)
 
 
 def simulate_system_lifetimes_vectorized(
@@ -174,11 +142,12 @@ def simulate_system_lifetimes_vectorized(
 
     All replications advance together; each global step covers the time to
     the next event of any kind -- a workload transition, a policy phase
-    switch (round-robin's clock), a policy re-evaluation epoch
-    (state-dependent policies such as ``best-of`` track the charge ordering
-    on a fine cadence), a battery depletion, or the horizon.  In between,
-    every battery's wells follow the closed-form constant-current KiBaM
-    solution with the current the policy routes to it.
+    switch (round-robin's clock), a policy re-evaluation epoch (policies
+    with a :meth:`control_interval`, such as ``best-of``, track the charge
+    ordering on a fine cadence), a battery depletion, or the horizon.  In
+    between, every battery's wells follow the closed-form constant-current
+    KiBaM solution with the current the policy routes to it.  A single
+    battery is the bank ``(battery,)`` under ``static-split``.
 
     Depleted batteries are frozen (no recovery), matching the absorbing
     ``j1 = 0`` convention of the product-space chain; the system dies -- one
@@ -204,8 +173,13 @@ def simulate_system_lifetimes_vectorized(
     failures_to_die:
         The ``k`` of the k-of-N depletion predicate (default ``N``).
 
-    The time between policy re-evaluations is bounded by the policy's own
-    :meth:`control_interval` hint.
+    Notes
+    -----
+    The random stream is consumed in a fixed order, which keeps the samples
+    a pure function of the seed: the initial workload states, the workload
+    timers, the phase timers (none for a single phase); then, per step, the
+    successor uniforms and new timers of the runs whose workload timer ran
+    out, in run order, followed by the same for the phase clock.
     """
     from repro.multibattery.policies import get_policy
 
@@ -224,132 +198,137 @@ def simulate_system_lifetimes_vectorized(
 
     models = [KineticBatteryModel(battery) for battery in batteries]
     currents_per_state = np.asarray(workload.currents, dtype=float)
-    hint = policy.control_interval(batteries, float(currents_per_state.max(initial=0.0)))
-    control_interval = np.inf if hint is None else float(hint)
-
+    # None: the weights depend only on the phase and on which batteries are
+    # alive, so they are re-evaluated only when one of those changes.
+    control_interval = policy.control_interval(batteries, float(currents_per_state.max(initial=0.0)))
     exit_rates = -np.diag(workload.generator)
-    cumulative = cumulative_jump_probabilities(workload)
+    cumulative = cumulative_jump_probabilities(workload.generator)
+    clocked = policy.n_phases(n_batteries) > 1
 
-    n_phases = policy.n_phases(n_batteries)
-    phase_generator = np.asarray(policy.phase_generator(n_batteries), dtype=float)
-    phase_rates = -np.diag(phase_generator)
-    phase_cumulative = np.zeros((n_phases, n_phases))
-    for phase in range(n_phases):
-        jumps = phase_generator[phase].copy()
-        jumps[phase] = 0.0
-        total = jumps.sum()
-        if total > 0.0:
-            phase_cumulative[phase] = np.cumsum(jumps / total)
-        else:
-            # Absorbing phase: self-loop (never sampled, since its clock
-            # rate is zero and the timer below stays infinite).
-            phase_cumulative[phase] = (np.arange(n_phases) >= phase).astype(float)
-
-    def sample_timers(rates: np.ndarray) -> np.ndarray:
-        timers = np.full(rates.shape, np.inf)
-        ticking = rates > 0.0
-        timers[ticking] = rng.exponential(1.0, size=int(ticking.sum())) / rates[ticking]
-        return timers
-
+    # The state of the live runs only, in run order: finished runs are
+    # dropped from every array in the step they finish.
+    runs = np.arange(n_runs)
     states = rng.choice(workload.n_states, size=n_runs, p=workload.initial_distribution)
-    phases = np.zeros(n_runs, dtype=np.int64)
-    y1 = np.tile([battery.available_capacity for battery in batteries], (n_runs, 1))
-    y2 = np.tile([battery.bound_capacity for battery in batteries], (n_runs, 1))
+    workload_timer = _sample_timers(exit_rates[states], rng)
+    phases = None
+    if clocked:
+        phase_generator = np.asarray(policy.phase_generator(n_batteries), dtype=float)
+        phase_rates = -np.diag(phase_generator)
+        phase_cumulative = cumulative_jump_probabilities(phase_generator)
+        phases = np.zeros(n_runs, dtype=np.int64)
+        phase_timer = _sample_timers(phase_rates[phases], rng)
+    y1 = [np.full(n_runs, battery.available_capacity) for battery in batteries]
+    y2 = [np.full(n_runs, battery.bound_capacity) for battery in batteries]
     dead = np.zeros((n_runs, n_batteries), dtype=bool)
     elapsed = np.zeros(n_runs)
     lifetimes = np.full(n_runs, np.inf)
-    workload_timer = sample_timers(exit_rates[states])
-    phase_timer = sample_timers(phase_rates[phases])
-    active = np.arange(n_runs)
+    shares = None
 
-    while active.size > 0:
-        alive = ~dead[active]
-        weights = policy.routing_weights(y1[active], alive)
-        routed = (
-            weights[phases[active], np.arange(active.size), :]
-            * currents_per_state[states[active]][:, None]
-        )
+    while runs.size > 0:
+        if shares is None:
+            shares = _routing_shares(policy, y1, dead, phases)
+        currents = currents_per_state[states]
+        remaining = horizon - elapsed
+        dt = np.minimum(workload_timer, remaining)
+        if clocked:
+            dt = np.minimum(dt, phase_timer)
+        if control_interval is not None:
+            dt = np.minimum(dt, control_interval)
 
-        remaining = horizon - elapsed[active]
-        dt = np.minimum(
-            np.minimum(workload_timer[active], phase_timer[active]),
-            np.minimum(control_interval, remaining),
-        )
-
-        new_y1 = np.empty_like(y1[active])
-        new_y2 = np.empty_like(new_y1)
+        routed = [share * currents for share in shares]
+        frozen = dead.any()
+        next_y1, next_y2, empty = [], [], []
         for b, battery in enumerate(batteries):
-            new_y1[:, b], new_y2[:, b] = _step_wells(
-                y1[active, b], y2[active, b], routed[:, b], dt, battery.c, battery.k
-            )
-        # Frozen batteries stay frozen (no recovery of a depleted cell).
-        new_y1[~alive] = y1[active][~alive]
-        new_y2[~alive] = y2[active][~alive]
+            a1, a2 = _step_wells(y1[b], y2[b], routed[b], dt, battery.c, battery.k)
+            if frozen:
+                # A depleted battery stays as it is (no recovery).
+                a1 = np.where(dead[:, b], y1[b], a1)
+                a2 = np.where(dead[:, b], y2[b], a2)
+            empty.append(a1 <= 0.0)
+            next_y1.append(np.maximum(a1, 0.0))
+            next_y2.append(np.maximum(a2, 0.0))
 
-        # Battery depletions interrupt the step: find the earliest crossing
-        # of each affected run, advance that run only to the crossing, and
-        # let the next iteration re-route the load.  Deaths are rare (at
-        # most N per run over its whole lifetime), so this scalar path
-        # never dominates.
-        depleting = alive & (new_y1 <= 0.0)
-        interrupted = depleting.any(axis=1)
-        if np.any(interrupted):
-            for position in np.nonzero(interrupted)[0]:
-                run = active[position]
-                crossing = np.inf
-                fatality = -1
-                for b in np.nonzero(depleting[position])[0]:
-                    state_b = KiBaMState(available=float(y1[run, b]), bound=float(y2[run, b]))
-                    time_b = models[b].time_to_empty(
-                        state_b, float(routed[position, b]), float(dt[position])
-                    )
-                    if time_b is None:
-                        time_b = float(dt[position])
-                    if time_b < crossing:
-                        crossing = time_b
-                        fatality = b
-                # Advance every battery of the run to the crossing instant.
+        # A battery depletion interrupts its run's step: the run advances
+        # only to the earliest crossing, and the next step re-routes the load.
+        if n_batteries == 1:
+            interrupted = empty[0]
+            depleting = interrupted[:, None]
+        else:
+            depleting = np.column_stack(empty) & ~dead
+            interrupted = depleting.any(axis=1)
+        advance = dt
+        smooth = failed = None
+        if interrupted.any():
+            smooth = ~interrupted
+            dying = np.flatnonzero(interrupted)
+            # One scalar root solve per dying (run, battery) pair; the earliest
+            # crossing is fatal, the lowest battery index on a tie.
+            pairs, cells = np.nonzero(depleting[dying])
+            found = []
+            for row, b in zip(dying[pairs].tolist(), cells.tolist()):
+                state = KiBaMState(y1[b].item(row), y2[b].item(row))
+                step = dt.item(row)
+                time = models[b].time_to_empty(state, routed[b].item(row), step)
+                found.append(step if time is None else time)
+            times = np.full((dying.size, n_batteries), np.inf)
+            times[pairs, cells] = found
+            fatality = times.argmin(axis=1)
+            advance = dt.copy()
+            advance[dying] = times.min(axis=1)
+            was_dead = dead[dying]
+            dead[dying, fatality] = True
+            fails = was_dead.sum(axis=1) >= k_failures - 1
+            failed = dying[fails]
+            if not fails.all():
+                # A surviving run moves every battery that was alive to the
+                # crossing, and its load is re-routed next step.
+                rows, fatality, was_alive = dying[~fails], fatality[~fails], ~was_dead[~fails]
                 for b, battery in enumerate(batteries):
-                    if dead[run, b]:
-                        continue
-                    step_y1, step_y2 = _step_wells(
-                        y1[run, b], y2[run, b], routed[position, b], crossing,
-                        battery.c, battery.k,
+                    moving = rows[was_alive[:, b]]
+                    a1, a2 = _step_wells(
+                        y1[b][moving], y2[b][moving], routed[b][moving], advance[moving], battery.c, battery.k
                     )
-                    y1[run, b] = max(float(step_y1), 0.0)
-                    y2[run, b] = max(float(step_y2), 0.0)
-                y1[run, fatality] = 0.0
-                dead[run, fatality] = True
-                elapsed[run] += crossing
-                workload_timer[run] -= crossing
-                phase_timer[run] -= crossing
-                if int(dead[run].sum()) >= k_failures:
-                    lifetimes[run] = elapsed[run]
+                    next_y1[b][moving] = np.maximum(a1, 0.0)
+                    next_y2[b][moving] = np.maximum(a2, 0.0)
+                    next_y1[b][rows[fatality == b]] = 0.0
+                shares = None
 
-        smooth = ~interrupted
-        smooth_runs = active[smooth]
-        y1[smooth_runs] = np.maximum(new_y1[smooth], 0.0)
-        y2[smooth_runs] = np.maximum(new_y2[smooth], 0.0)
-        elapsed[smooth_runs] += dt[smooth]
-        workload_timer[smooth_runs] -= dt[smooth]
-        phase_timer[smooth_runs] -= dt[smooth]
+        y1, y2 = next_y1, next_y2
+        elapsed = elapsed + advance
+        if failed is not None:
+            lifetimes[runs[failed]] = elapsed[failed]
 
-        # Fire the events whose timers ran out (only for uninterrupted
-        # runs; interrupted ones re-enter the loop and fire next round).
-        jumping = smooth_runs[workload_timer[smooth_runs] <= 1e-12]
+        # Fire the events whose timers ran out (an interrupted run fires its
+        # events in a later step).
+        workload_timer = workload_timer - advance
+        jumping = _expired(workload_timer, smooth)
         if jumping.size > 0:
             states[jumping] = _sample_successors(cumulative, states[jumping], rng)
-            workload_timer[jumping] = sample_timers(exit_rates[states[jumping]])
-        switching = smooth_runs[phase_timer[smooth_runs] <= 1e-12]
-        if switching.size > 0:
-            phases[switching] = _sample_successors(
-                phase_cumulative, phases[switching], rng
-            )
-            phase_timer[switching] = sample_timers(phase_rates[phases[switching]])
+            workload_timer[jumping] = _sample_timers(exit_rates[states[jumping]], rng)
+        if clocked:
+            phase_timer = phase_timer - advance
+            switching = _expired(phase_timer, smooth)
+            if switching.size > 0:
+                phases[switching] = _sample_successors(phase_cumulative, phases[switching], rng)
+                phase_timer[switching] = _sample_timers(phase_rates[phases[switching]], rng)
+                shares = None
+        if control_interval is not None:
+            shares = None
 
-        failed = lifetimes[active] < np.inf
-        censored = np.zeros(active.size, dtype=bool)
-        censored[smooth] = remaining[smooth] <= dt[smooth]
-        active = active[~(failed | censored)]
+        finished = remaining <= dt
+        if smooth is not None:
+            finished &= smooth
+            finished[failed] = True
+        if finished.any():
+            keep = ~finished
+            runs, states, elapsed, workload_timer, dead = (
+                runs[keep], states[keep], elapsed[keep], workload_timer[keep], dead[keep]
+            )
+            y1 = [column[keep] for column in y1]
+            y2 = [column[keep] for column in y2]
+            if clocked:
+                phases, phase_timer = phases[keep], phase_timer[keep]
+            if shares is not None:
+                shares = shares[:, keep]
 
     return lifetimes

@@ -17,9 +17,8 @@ homogeneous MRMs with a single non-negative reward:
 Mass that reaches the top level (the reward bound, e.g. the battery
 capacity) accumulates there, so the value at the top level is the
 approximated ``Pr{Y(t) >= bound}`` -- for single-well batteries this is the
-lifetime CDF.  The scheme is first-order in ``dt`` and serves as an
-independent cross-check of the Markovian approximation; it is not the
-recommended production solver.
+lifetime CDF.  The scheme is first-order in ``dt``; it is a test oracle,
+an independent cross-check of the Markovian approximation.
 """
 
 from __future__ import annotations

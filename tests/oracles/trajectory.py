@@ -1,9 +1,14 @@
-"""Sampling trajectories of CTMC workload models.
+"""Test oracle: the per-trajectory Monte-Carlo simulation of one KiBaM battery.
 
-A trajectory is a sequence of visited states together with the sojourn time
-spent in each of them, sampled with the standard competing-exponentials
-construction.  Trajectories are the input for the trajectory-driven battery
-simulation of :mod:`repro.simulation.battery_sim`.
+One workload trajectory is sampled at a time with the standard
+competing-exponentials construction, and the analytical KiBaM is stepped
+along its sojourns until the available-charge well runs empty.  This is
+the textbook procedure behind the paper's simulation curves, written one
+run at a time; the library's vectorised engine
+(:func:`repro.simulation.vectorized.simulate_system_lifetimes_vectorized`)
+is checked against it.  Both sample successors with
+:func:`~repro.simulation.vectorized.cumulative_jump_probabilities`, so the
+two can never diverge in their jump semantics.
 """
 
 from __future__ import annotations
@@ -12,41 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.battery.kibam import KineticBatteryModel
+from repro.simulation.lifetime_sim import default_system_horizon
+from repro.simulation.vectorized import cumulative_jump_probabilities
 from repro.workload.base import WorkloadModel
 
-__all__ = ["Trajectory", "cumulative_jump_probabilities", "sample_trajectory"]
-
-
-def cumulative_jump_probabilities(workload: WorkloadModel) -> np.ndarray:
-    """Return the cumulative jump-probability matrix of the embedded chain.
-
-    Row ``s`` is the cumulative distribution of the successor sampled when
-    the CTMC leaves state ``s``: drawing ``u ~ U[0, 1)`` and taking
-    ``searchsorted(row, u, side="right")`` (equivalently, counting the
-    entries ``<= u``) yields the successor index, with zero-width bins --
-    zero-probability successors -- skipped even when ``u`` lands exactly on
-    their boundary.  An absorbing state (``rate <= 0``) self-loops: its row
-    is 0 up to (but excluding) the state's own index and 1 from it on, so
-    every ``u`` maps back to the state itself.  (An all-ones row would map
-    every ``u`` to state 0 instead, silently restarting the workload.)
-
-    Shared by the per-trajectory sampler below and the vectorised
-    Monte-Carlo engine (:mod:`repro.simulation.vectorized`), so the two
-    engines can never diverge in their jump semantics.
-    """
-    generator = workload.generator
-    n = workload.n_states
-    cumulative = np.zeros((n, n))
-    for state in range(n):
-        rate = -generator[state, state]
-        if rate <= 0.0:
-            cumulative[state, state:] = 1.0
-            continue
-        row = generator[state].copy()
-        row[state] = 0.0
-        cumulative[state] = np.cumsum(row / rate)
-        cumulative[state, -1] = 1.0
-    return cumulative
+__all__ = [
+    "Trajectory",
+    "sample_trajectory",
+    "simulate_battery_on_trajectory",
+    "simulate_lifetime_once",
+]
 
 
 @dataclass(frozen=True)
@@ -131,7 +112,7 @@ def sample_trajectory(
     # Pre-compute cumulative jump probabilities per state; sampling a
     # successor then only needs one uniform and a searchsorted, which is far
     # cheaper than numpy.random.Generator.choice in this per-sojourn loop.
-    cumulative_rows = cumulative_jump_probabilities(workload)
+    cumulative_rows = cumulative_jump_probabilities(workload.generator)
 
     if initial_state is None:
         state = int(rng.choice(n, p=workload.initial_distribution))
@@ -171,3 +152,40 @@ def sample_trajectory(
         currents=currents_array,
         horizon=float(horizon),
     )
+
+
+def simulate_battery_on_trajectory(battery: KineticBatteryModel, trajectory: Trajectory) -> float | None:
+    """Return the battery lifetime along a given *trajectory*.
+
+    The analytical KiBaM is stepped sojourn by sojourn.  Returns ``None``
+    when the battery survives the whole trajectory.
+    """
+    state = battery.initial_state()
+    elapsed = 0.0
+    for duration, current in zip(trajectory.durations, trajectory.currents):
+        crossing = battery.time_to_empty(state, float(current), float(duration))
+        if crossing is not None:
+            return elapsed + crossing
+        state = battery.step(state, float(current), float(duration))
+        elapsed += float(duration)
+    return None
+
+
+def simulate_lifetime_once(
+    workload: WorkloadModel,
+    battery: KineticBatteryModel,
+    rng: np.random.Generator,
+    *,
+    horizon: float | None = None,
+) -> float:
+    """Sample one workload trajectory and return the resulting lifetime.
+
+    The horizon defaults to the library's (three ideal lifetimes at the
+    workload's mean current).  Returns ``numpy.inf`` when the battery
+    survives the horizon (a censored observation).
+    """
+    if horizon is None:
+        horizon = default_system_horizon(workload, (battery,))
+    trajectory = sample_trajectory(workload, horizon, rng)
+    lifetime = simulate_battery_on_trajectory(battery, trajectory)
+    return float("inf") if lifetime is None else float(lifetime)

@@ -2,10 +2,10 @@
 
 The production transient is
 :meth:`repro.markov.uniformization.TransientPropagator.transient_batch`.
-Only tests call this module: :func:`expm_transient` is the dense
-matrix-exponential reference for small chains, and
-:func:`cumulative_state_probabilities` integrates the propagator's output
-over time (the occupation times behind expected accumulated rewards).
+:func:`expm_transient` is the dense matrix-exponential reference for small
+chains, and :func:`cumulative_state_probabilities` integrates the
+propagator's output over time (the occupation times behind expected
+accumulated rewards).
 """
 
 from __future__ import annotations

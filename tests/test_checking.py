@@ -20,7 +20,6 @@ from repro.checking import (
     audit_fingerprint_registry,
     checks_mode,
     dense_fallback,
-    enforce,
     override_checks,
     registered_fields,
 )
@@ -174,13 +173,6 @@ def test_invalid_environment_mode_raises(monkeypatch) -> None:
     monkeypatch.setenv("REPRO_CHECKS", "sometimes")
     with pytest.raises(ValueError, match="REPRO_CHECKS"):
         checks_mode()
-
-
-def test_enforce_semantics() -> None:
-    error = ValueError("broken contract")
-    with pytest.raises(ValueError, match="broken contract"):
-        enforce(error, mode="strict")
-    enforce(error, mode="off")  # silent
 
 
 def test_strict_checks_fixture_forces_strict(strict_checks) -> None:

@@ -13,7 +13,6 @@ import pytest
 
 import repro.api as api
 from repro.analysis.distribution import LifetimeDistribution
-from repro.battery.kibam import KineticBatteryModel
 from repro.battery.parameters import KiBaMParameters
 from repro.reward.occupation import two_level_lifetime_cdf
 from repro.simulation.lifetime_sim import simulate_lifetime_distribution
@@ -55,7 +54,7 @@ class TestOnOffSingleWell:
     def test_simulation_matches_exact(self, workload, exact_curve):
         battery = KiBaMParameters(capacity=self.CAPACITY, c=1.0, k=0.0)
         result = simulate_lifetime_distribution(
-            workload, KineticBatteryModel(battery), n_runs=1500, seed=7, horizon=6000.0
+            workload, battery, n_runs=1500, seed=7, horizon=6000.0
         )
         simulated = result.cdf(self.TIMES)
         assert np.max(np.abs(simulated - exact_curve.probabilities)) < 0.05
@@ -88,7 +87,7 @@ class TestOnOffTwoWells:
         battery = KiBaMParameters(capacity=720.0, c=0.625, k=4.5e-4)
         curve = approximation(workload, battery, self.TIMES, delta=10.0)
         simulation = simulate_lifetime_distribution(
-            workload, KineticBatteryModel(battery), n_runs=800, seed=9, horizon=6000.0
+            workload, battery, n_runs=800, seed=9, horizon=6000.0
         )
         distance = float(np.max(np.abs(curve.probabilities - simulation.cdf(self.TIMES))))
         # The 2-D discretisation is coarse (as in the paper); just require the
@@ -101,10 +100,10 @@ class TestOnOffTwoWells:
         with_recovery = KiBaMParameters(capacity=720.0, c=0.625, k=4.5e-4)
         available_only = KiBaMParameters(capacity=450.0, c=1.0, k=0.0)
         sim_recovery = simulate_lifetime_distribution(
-            workload, KineticBatteryModel(with_recovery), n_runs=400, seed=11, horizon=6000.0
+            workload, with_recovery, n_runs=400, seed=11, horizon=6000.0
         )
         sim_available = simulate_lifetime_distribution(
-            workload, KineticBatteryModel(available_only), n_runs=400, seed=12, horizon=6000.0
+            workload, available_only, n_runs=400, seed=12, horizon=6000.0
         )
         assert sim_recovery.mean_lifetime > sim_available.mean_lifetime
 
@@ -130,7 +129,7 @@ class TestSimpleAndBurstModels:
         times = np.linspace(0.5, 6.0, 12) * 3600.0
         curve = approximation(workload, battery, times, 2.0 * 3.6)
         simulation = simulate_lifetime_distribution(
-            workload, KineticBatteryModel(battery), n_runs=800, seed=21
+            workload, battery, n_runs=800, seed=21
         )
         distance = float(np.max(np.abs(curve.probabilities - simulation.cdf(times))))
         assert distance < 0.12

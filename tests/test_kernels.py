@@ -239,18 +239,15 @@ class TestMatrixFreeKernels:
                 atol=1e-10,
             )
 
-    def test_fused_operator_matches_unfused_and_assembled(self):
+    def test_fused_operator_matches_assembled(self):
         matrix_free, assembled = two_battery_chain()
         generator = matrix_free.generator
         rate = 1.001 * float(np.max(-assembled.diagonal()))
-        fused = UniformizedOperator(generator, rate, fused=True)
-        unfused = UniformizedOperator(generator, rate, fused=False)
-        assert fused.fused and not unfused.fused
+        fused = UniformizedOperator(generator, rate)
         rng = np.random.default_rng(11)
         block = rng.random((3, generator.shape[0]))
         explicit = block + (block @ assembled) / rate
         np.testing.assert_allclose(block @ fused, explicit, atol=1e-12)
-        np.testing.assert_allclose(block @ unfused, explicit, atol=1e-12)
 
 
 # ----------------------------------------------------------------------

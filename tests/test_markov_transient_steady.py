@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
+from oracles.transient import cumulative_state_probabilities, expm_transient
 
 from repro.markov.steady_state import steady_state_distribution
-from repro.markov.transient import cumulative_state_probabilities, expm_transient
 from repro.markov.uniformization import TransientPropagator
 
 

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from oracles.transient import expm_transient
 
 from repro.core.discretization import discretize
 from repro.core.kibamrm import KiBaMRM
 from repro.markov.generator import uniformized_matrix
-from repro.markov.transient import expm_transient
 from repro.markov.uniformization import TransientPropagator, uniformization_rate
 from repro.workload.onoff import onoff_workload
 

@@ -296,6 +296,24 @@ class TestPolicies:
             weights = policy.routing_weights(levels, levels >= 1.0)
             assert np.all(weights == 0.0)
 
+    def test_levels_do_not_move_weights_without_control_interval(self):
+        # The simulator re-evaluates such a policy's weights only after a
+        # depletion or a phase switch, so the charge levels must not matter.
+        batteries = (KiBaMParameters(capacity=100.0, c=0.625, k=1e-3),) * 3
+        rng = np.random.default_rng(4)
+        alive = rng.random((64, 3)) < 0.7
+        first, second = 100.0 * rng.random((2, 64, 3))
+        checked = []
+        for name in available_policies():
+            policy = get_policy(name)
+            if policy.control_interval(batteries, 1.0) is not None:
+                continue
+            checked.append(name)
+            assert np.array_equal(
+                policy.routing_weights(first, alive), policy.routing_weights(second, alive)
+            ), name
+        assert {"static-split", "round-robin"} <= set(checked)
+
 
 class TestEngineThreading:
     def test_auto_accounts_for_product_space_size(self):

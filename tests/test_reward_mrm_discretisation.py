@@ -2,8 +2,8 @@
 
 import numpy as np
 import pytest
+from oracles.discretisation import discretised_reward_distribution
 
-from repro.reward.discretisation import discretised_reward_distribution
 from repro.reward.occupation import two_level_lifetime_cdf
 from repro.workload.onoff import onoff_workload
 from repro.workload.simple import simple_workload

@@ -79,7 +79,7 @@ class TestExpectedValueConsistency:
     def test_mean_occupation_matches_integrated_probability(self, simple_model):
         # E[O(t)] obtained by integrating Pr{O > x t} over x in [0, 1] must
         # match the integral of the transient probability of the high states.
-        from repro.markov.transient import cumulative_state_probabilities
+        from oracles.transient import cumulative_state_probabilities
 
         generator = simple_model.generator * 3600.0  # work in hours
         alpha = simple_model.initial_distribution

@@ -1,31 +1,40 @@
-"""Tests for the simulation substrate (rng, statistics, trajectories, lifetimes)."""
+"""Tests for the simulation substrate (rng, statistics, trajectories, lifetimes).
+
+The one Monte-Carlo engine is checked against the per-trajectory oracle of
+``tests/oracles/trajectory.py``.
+"""
 
 import numpy as np
 import pytest
-
-from repro.battery.ideal import IdealBattery
-from repro.battery.kibam import KineticBatteryModel
-from repro.battery.parameters import KiBaMParameters
-from repro.simulation.battery_sim import (
-    default_horizon,
+from oracles.trajectory import (
+    Trajectory,
+    sample_trajectory,
     simulate_battery_on_trajectory,
     simulate_lifetime_once,
 )
-from repro.simulation.lifetime_sim import simulate_lifetime_distribution
+
+from repro.battery.kibam import KineticBatteryModel
+from repro.battery.parameters import KiBaMParameters
+from repro.simulation.lifetime_sim import default_system_horizon, simulate_lifetime_distribution
 from repro.simulation.rng import make_rng, spawn_rngs, spawn_seeds
 from repro.simulation.statistics import (
     EmpiricalDistribution,
     dkw_confidence_band,
     summarize_samples,
 )
-from repro.simulation.trajectory import (
-    Trajectory,
+from repro.simulation.vectorized import (
     cumulative_jump_probabilities,
-    sample_trajectory,
+    simulate_system_lifetimes_vectorized,
 )
-from repro.simulation.vectorized import simulate_lifetimes_vectorized
 from repro.workload.base import WorkloadModel
 from repro.workload.onoff import onoff_workload
+
+
+def engine_lifetimes(workload, battery, n_runs, seed, horizon):
+    """One battery on the one engine: the bank ``(battery,)`` under static-split."""
+    return simulate_system_lifetimes_vectorized(
+        workload, (battery,), "static-split", n_runs, make_rng(seed), horizon
+    )
 
 
 def absorbing_workload(*, on_current: float = 1.0, shutdown_rate: float = 0.01) -> WorkloadModel:
@@ -171,19 +180,9 @@ class TestBatterySimulation:
         )
         assert simulate_battery_on_trajectory(battery, trajectory) is None
 
-    def test_generic_battery_fallback(self):
-        battery = IdealBattery(100.0)
-        trajectory = Trajectory(
-            states=np.array([0]),
-            durations=np.array([300.0]),
-            currents=np.array([1.0]),
-            horizon=300.0,
-        )
-        assert simulate_battery_on_trajectory(battery, trajectory) == pytest.approx(100.0)
-
     def test_default_horizon_scales_with_capacity(self, simple_model):
-        small = default_horizon(simple_model, IdealBattery(100.0))
-        large = default_horizon(simple_model, IdealBattery(1000.0))
+        small = default_system_horizon(simple_model, (KiBaMParameters(capacity=100.0, c=1.0, k=0.0),))
+        large = default_system_horizon(simple_model, (KiBaMParameters(capacity=1000.0, c=1.0, k=0.0),))
         assert large == pytest.approx(10.0 * small)
 
     def test_simulate_once_returns_finite_or_inf(self, rng):
@@ -199,9 +198,7 @@ class TestLifetimeDistributionSimulation:
         parameters = KiBaMParameters(capacity=120.0, c=0.625, k=1e-3)
         horizon = 2000.0
 
-        vector_samples = simulate_lifetimes_vectorized(
-            workload, parameters, 400, make_rng(11), horizon
-        )
+        vector_samples = engine_lifetimes(workload, parameters, 400, 11, horizon)
         battery = KineticBatteryModel(parameters)
         rng = make_rng(12)
         scalar_samples = np.array(
@@ -221,22 +218,20 @@ class TestLifetimeDistributionSimulation:
         # capacity / (0.48 A) in expectation.
         workload = onoff_workload(frequency=0.05)
         parameters = KiBaMParameters(capacity=240.0, c=1.0, k=0.0)
-        result = simulate_lifetime_distribution(
-            workload, KineticBatteryModel(parameters), n_runs=600, seed=5
-        )
+        result = simulate_lifetime_distribution(workload, parameters, n_runs=600, seed=5)
         assert result.mean_lifetime == pytest.approx(500.0, rel=0.08)
         assert result.probability_empty_by(2000.0) > 0.98
 
     def test_reproducible_with_seed(self):
         workload = onoff_workload(frequency=0.05)
-        battery = KineticBatteryModel(KiBaMParameters(capacity=120.0, c=1.0, k=0.0))
+        battery = KiBaMParameters(capacity=120.0, c=1.0, k=0.0)
         first = simulate_lifetime_distribution(workload, battery, n_runs=50, seed=42)
         second = simulate_lifetime_distribution(workload, battery, n_runs=50, seed=42)
         assert np.allclose(first.samples, second.samples)
 
     def test_summary_and_cdf(self):
         workload = onoff_workload(frequency=0.05)
-        battery = KineticBatteryModel(KiBaMParameters(capacity=120.0, c=1.0, k=0.0))
+        battery = KiBaMParameters(capacity=120.0, c=1.0, k=0.0)
         result = simulate_lifetime_distribution(workload, battery, n_runs=100, seed=3)
         summary = result.summary()
         assert summary["n"] == 100
@@ -245,7 +240,7 @@ class TestLifetimeDistributionSimulation:
 
     def test_invalid_run_count(self):
         workload = onoff_workload(frequency=0.05)
-        battery = KineticBatteryModel(KiBaMParameters(capacity=120.0, c=1.0, k=0.0))
+        battery = KiBaMParameters(capacity=120.0, c=1.0, k=0.0)
         with pytest.raises(ValueError):
             simulate_lifetime_distribution(workload, battery, n_runs=0)
 
@@ -253,9 +248,15 @@ class TestLifetimeDistributionSimulation:
         workload = onoff_workload(frequency=0.05)
         parameters = KiBaMParameters(capacity=120.0, c=1.0, k=0.0)
         with pytest.raises(ValueError):
-            simulate_lifetimes_vectorized(workload, parameters, 0, make_rng(1), 100.0)
+            simulate_system_lifetimes_vectorized(workload, (parameters,), "static-split", 0, make_rng(1), 100.0)
         with pytest.raises(ValueError):
-            simulate_lifetimes_vectorized(workload, parameters, 10, make_rng(1), 0.0)
+            simulate_system_lifetimes_vectorized(workload, (parameters,), "static-split", 10, make_rng(1), 0.0)
+        with pytest.raises(ValueError):
+            simulate_system_lifetimes_vectorized(workload, (), "static-split", 10, make_rng(1), 100.0)
+        with pytest.raises(ValueError):
+            simulate_system_lifetimes_vectorized(
+                workload, (parameters,), "static-split", 10, make_rng(1), 100.0, failures_to_die=2
+            )
 
 
 class TestAbsorbingWorkloads:
@@ -268,7 +269,7 @@ class TestAbsorbingWorkloads:
 
     def test_cumulative_rows_keep_absorbing_state_in_place(self):
         workload = absorbing_workload()
-        cumulative = cumulative_jump_probabilities(workload)
+        cumulative = cumulative_jump_probabilities(workload.generator)
         uniforms = np.array([0.0, 0.25, 0.5, 0.999])
         successors = (uniforms[:, None] >= cumulative[1]).sum(axis=1)
         assert np.all(successors == 1), "absorbing state must jump to itself"
@@ -285,7 +286,7 @@ class TestAbsorbingWorkloads:
             currents=np.array([0.1, 0.0, 0.2]),
             initial_distribution=np.array([1.0, 0.0, 0.0]),
         )
-        cumulative = cumulative_jump_probabilities(workload)
+        cumulative = cumulative_jump_probabilities(workload.generator)
         uniforms = np.linspace(0.0, 0.999, 7)
         successors = (uniforms[:, None] >= cumulative[1]).sum(axis=1)
         assert np.all(successors == 1)
@@ -296,9 +297,7 @@ class TestAbsorbingWorkloads:
         # before that survive forever.  Pr{die} = exp(-0.01 * 20).
         workload = absorbing_workload(on_current=1.0, shutdown_rate=0.01)
         parameters = KiBaMParameters(capacity=20.0, c=1.0, k=0.0)
-        samples = simulate_lifetimes_vectorized(
-            workload, parameters, 4000, make_rng(17), horizon=500.0
-        )
+        samples = engine_lifetimes(workload, parameters, 4000, 17, horizon=500.0)
         finite = np.isfinite(samples)
         assert np.all(samples[finite] == pytest.approx(20.0))
         assert finite.mean() == pytest.approx(np.exp(-0.2), abs=0.02)
@@ -307,9 +306,7 @@ class TestAbsorbingWorkloads:
         workload = absorbing_workload(on_current=0.5, shutdown_rate=0.02)
         parameters = KiBaMParameters(capacity=30.0, c=0.625, k=1e-3)
         horizon = 800.0
-        vector_samples = simulate_lifetimes_vectorized(
-            workload, parameters, 3000, make_rng(21), horizon
-        )
+        vector_samples = engine_lifetimes(workload, parameters, 3000, 21, horizon)
         battery = KineticBatteryModel(parameters)
         rng = make_rng(22)
         scalar_samples = np.array(

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.transient import expm_transient
 
-from repro.markov.transient import expm_transient
 from repro.markov.uniformization import TransientPropagator
 
 #: A small irreducible generator used throughout this module.
