@@ -14,7 +14,6 @@ import numpy as np
 from repro.api import LifetimeProblem, SolveWorkspace
 from repro.battery.parameters import rao_battery_parameters
 from repro.core.discretization import discretize
-from repro.core.kibamrm import KiBaMRM
 from repro.engine.registry import solve_lifetime
 from repro.markov.poisson import fox_glynn
 from repro.workload.onoff import onoff_workload
@@ -27,8 +26,10 @@ def test_poisson_weights_large_rate(benchmark):
 
 
 def test_expanded_generator_construction(benchmark):
-    model = KiBaMRM(workload=onoff_workload(frequency=1.0), battery=rao_battery_parameters())
-    discretized = benchmark(discretize, model, 50.0)
+    problem = LifetimeProblem(
+        workload=onoff_workload(frequency=1.0), battery=rao_battery_parameters(), times=[0.0]
+    )
+    discretized = benchmark(discretize, problem.model(), 50.0)
     assert discretized.n_states > 5000
 
 

@@ -39,10 +39,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.api import LifetimeProblem
 from repro.battery.parameters import KiBaMParameters
 from repro.checking import checks_mode
 from repro.core.discretization import discretize
-from repro.core.kibamrm import KiBaMRM
+from repro.engine.workspace import SolveWorkspace
 from repro.experiments.records import write_bench_record
 from repro.markov import kernels
 from repro.markov import validate as markov_validate
@@ -93,15 +94,17 @@ def _assembled_scenario():
         description="slow-switching busy/idle kernel-benchmark workload",
     )
     battery = KiBaMParameters(capacity=300.0, c=0.625, k=1e-3)
-    chain = discretize(KiBaMRM(workload=workload, battery=battery), delta=0.9)
     times = np.linspace(0.0, 3000.0, 33)
+    problem = LifetimeProblem(workload=workload, battery=battery, times=times)
+    chain = discretize(problem.model(), delta=0.9)
     return chain, times
 
 
 def _solve_chain(chain, times: np.ndarray):
     projection = np.zeros(chain.n_states)
     projection[chain.empty_states] = 1.0
-    propagator = TransientPropagator(chain.generator, validate=False)
+    # The engine's propagator: P assembled as CSR, as every solve runs it.
+    propagator = SolveWorkspace().propagator(chain, ("bench", chain.n_states))
     return propagator.transient_batch(
         chain.initial_distribution[None, :],
         times,

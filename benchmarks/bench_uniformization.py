@@ -18,11 +18,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.api import LifetimeProblem
 from repro.battery.parameters import KiBaMParameters
 from repro.core.discretization import discretize
-from repro.core.kibamrm import KiBaMRM
+from repro.engine.workspace import SolveWorkspace
 from repro.experiments.records import write_bench_record
-from repro.markov.uniformization import TransientPropagator
 from repro.workload.base import WorkloadModel
 
 #: Required wall-clock advantage of the incremental path (acceptance: >= 3x).
@@ -58,8 +58,9 @@ def _scenario():
         description="slow-switching busy/idle benchmark workload",
     )
     battery = KiBaMParameters(capacity=300.0, c=0.625, k=1e-3)
-    chain = discretize(KiBaMRM(workload=workload, battery=battery), delta=0.9)
     times = np.linspace(0.0, 20000.0, 96)
+    problem = LifetimeProblem(workload=workload, battery=battery, times=times)
+    chain = discretize(problem.model(), delta=0.9)
     return chain, times
 
 
@@ -75,7 +76,8 @@ def test_incremental_uniformization_speedup(benchmark):
     assert chain.n_states >= 50_000
     assert times.size >= 64
 
-    propagator = TransientPropagator(chain.generator, validate=False)
+    # The engine's propagator: P assembled as CSR, as every solve runs it.
+    propagator = SolveWorkspace().propagator(chain, ("bench", chain.n_states))
     projection = np.zeros(chain.n_states)
     projection[chain.empty_states] = 1.0
     initial = chain.initial_distribution[None, :]
@@ -110,7 +112,7 @@ def test_incremental_uniformization_speedup(benchmark):
             "n_states": int(chain.n_states),
             "n_nonzero": int(chain.n_nonzero),
             "uniformization_rate": float(propagator.rate),
-            "delta_as": float(chain.grid.delta),
+            "delta_as": float(chain.grids[0].delta),
             "n_times": int(times.size),
             "t_max_seconds": float(times[-1]),
             "depletion_time_seconds": depletion,

@@ -1,12 +1,12 @@
 """Shared array types and the structural shape of a discretised chain.
 
-:class:`DiscretizedChain` writes down the shape every discretisation
-backend hands the engine -- ``DiscretizedKiBaMRM``,
-``DiscretizedMultiBatterySystem`` (a
-:class:`~repro.markov.kronecker.KroneckerGenerator`) and
-``LumpedMultiBatterySystem`` share no base class.  The module also names
-the array and generator types the numerical code is annotated with, and
-imports no concrete implementation at run time.
+:class:`DiscretizedChain` writes down the shape both chain constructions
+hand the engine -- ``DiscretizedMultiBatterySystem`` (a
+:class:`~repro.markov.kronecker.KroneckerGenerator`; every single battery
+and every unlumped bank) and ``LumpedMultiBatterySystem`` share no base
+class.  The module also names the array and generator types the
+numerical code is annotated with, and imports no concrete implementation
+at run time.
 """
 
 from __future__ import annotations
@@ -48,9 +48,8 @@ else:  # pragma: no cover - runtime alias for isinstance-free annotation use
 class DiscretizedChain(Protocol):
     """The chain object every discretisation backend hands the engine.
 
-    ``DiscretizedKiBaMRM``, ``DiscretizedMultiBatterySystem`` and
-    ``LumpedMultiBatterySystem`` all satisfy this shape; solvers and the
-    workspace depend only on it.
+    ``DiscretizedMultiBatterySystem`` and ``LumpedMultiBatterySystem``
+    both satisfy this shape; solvers and the workspace depend only on it.
     """
 
     @property
@@ -66,6 +65,11 @@ class DiscretizedChain(Protocol):
     @property
     def empty_states(self) -> IntArray:
         """Indices of the absorbing system-failure states."""
+        ...
+
+    @property
+    def backend(self) -> str:
+        """The realisation: ``"assembled"``, ``"matrix-free"`` or ``"lumped"``."""
         ...
 
     @property

@@ -1,7 +1,9 @@
 """Construction of the expanded CTMC ``Q*`` (Section 5 of the paper).
 
-The Markovian approximation turns the reward-inhomogeneous KiBaMRM into a
-plain CTMC over the state space
+The Markovian approximation turns the reward-inhomogeneous KiBaMRM -- a
+CTMC workload whose two accumulated rewards are the charges of the KiBaM's
+available and bound wells (Section 4.2) -- into a plain CTMC.  For one
+battery the state space is
 
 .. math::
 
@@ -9,82 +11,106 @@ plain CTMC over the state space
 
 where a state ``(i, j1, j2)`` means "workload state ``i``, available charge
 in ``(j1 Delta, (j1+1) Delta]``, bound charge in ``(j2 Delta, (j2+1) Delta]``".
-Three families of transitions populate the generator ``Q*``:
+A bank of ``N`` batteries under a scheduling policy (see
+:mod:`repro.multibattery`) multiplies in one such charge grid per battery
+and the policy's optional phase clock; a single battery is the bank of one
+under ``static-split`` with ``failures_to_die = 1``, and :func:`discretize`
+builds both.  Three families of transitions populate ``Q*``:
 
-* **workload transitions** copied from the original generator (evaluated at
-  the current reward levels, which for the battery models of the paper do
-  not actually depend on the levels),
-* **consumption transitions** ``(i, j1, j2) -> (i, j1-1, j2)`` with rate
-  ``I_i / Delta`` (the available well loses one charge quantum),
+* **workload transitions** copied from the workload generator (and the
+  policy's phase transitions), at every charge level,
+* **consumption transitions** ``(i, j1, j2) -> (i, j1-1, j2)`` of battery
+  ``b`` with rate ``w_b I_i / Delta`` (the available well loses one charge
+  quantum; the policy's routing weight ``w_b`` is 1 for a single battery),
 * **transfer transitions** ``(i, j1, j2) -> (i, j1+1, j2-1)`` with rate
   ``k (h2 - h1) / Delta = k (j2/(1-c) - j1/c)`` whenever the bound well is
   higher than the available well (one charge quantum moves between wells).
 
-States with ``j1 = 0`` represent an empty battery and are absorbing.  The
-whole construction is vectorised with numpy index arithmetic and produces a
-``scipy.sparse`` matrix, since realistic step sizes yield chains with
-``10^5``--``10^6`` states.
+A battery with ``j1 = 0`` is empty; the states where at least
+``failures_to_die`` batteries are empty are absorbing.  Each family is one
+:class:`~repro.markov.kronecker.KroneckerTerm` per battery on that
+battery's grid factor, so the generator is a
+:class:`~repro.markov.kronecker.KroneckerGenerator`: applied factor-wise by
+the ``"matrix-free"`` backend, or written straight into the CSR of the
+uniformised ``P = I + Q/q`` by the ``"assembled"`` one
+(:meth:`~repro.markov.kronecker.KroneckerGenerator.uniformized_csr`), which
+every single battery uses.  Realistic step sizes yield chains with
+``10^5``--``10^6`` states, so the construction is vectorised numpy index
+arithmetic over the factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.core.grid import RewardGrid
-from repro.core.kibamrm import KiBaMRM
+from repro.markov.kronecker import KroneckerGenerator, KroneckerTerm
 from repro.markov.validate import check_chain
 
-__all__ = ["DiscretizedKiBaMRM", "discretize", "place_initial_distribution"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy.typing as npt
+
+    from repro.battery.parameters import KiBaMParameters
+    from repro.checking import FloatArray, IntArray
+    from repro.multibattery.system import MultiBatterySystem
+
+__all__ = [
+    "DiscretizedMultiBatterySystem",
+    "discretize",
+    "place_initial_distribution",
+]
 
 
 @dataclass(frozen=True)
-class DiscretizedKiBaMRM:
-    """The expanded CTMC produced by the Markovian approximation.
+class DiscretizedMultiBatterySystem:
+    """The expanded CTMC of a battery bank (a single battery is a bank of one).
 
-    Attributes
-    ----------
-    model:
-        The KiBaMRM that was discretised.
-    grid:
-        The reward grid (step size and level counts).
-    generator:
-        Sparse generator matrix ``Q*`` (CSR).
-    initial_distribution:
-        Initial probability vector over the expanded state space (the
-        workload's initial distribution placed at the full-battery levels).
-    empty_states:
-        Indices of all absorbing "battery empty" states (``j1 = 0``).
+    ``empty_states`` holds the *system-failed* absorbing states of the
+    k-of-N predicate.  The ``generator`` is the
+    :class:`~repro.markov.kronecker.KroneckerGenerator` for both backends;
+    ``backend`` tells the propagator whether to assemble ``P`` as CSR
+    (``"assembled"``) or apply it factor-wise (``"matrix-free"``).
+    ``n_nonzero`` is the operator's implied count, so size diagnostics are
+    backend-uniform.
     """
 
-    model: KiBaMRM
-    grid: RewardGrid
-    generator: sp.csr_matrix
-    initial_distribution: np.ndarray
-    empty_states: np.ndarray
+    system: MultiBatterySystem
+    grids: tuple[RewardGrid, ...]
+    generator: KroneckerGenerator
+    initial_distribution: FloatArray
+    empty_states: IntArray
+    failed_cells: npt.NDArray[np.bool_]
+    backend: str = "assembled"
 
     # ------------------------------------------------------------------
     @property
     def n_states(self) -> int:
         """Number of states of the expanded CTMC."""
-        return self.generator.shape[0]
+        return int(self.generator.shape[0])
 
     @property
     def n_nonzero(self) -> int:
-        """Number of non-zero entries of ``Q*`` (including the diagonal)."""
+        """Number of non-zero generator entries (including the diagonal).
+
+        The size the *assembled* generator would have (the operator's
+        implied count); the operator itself holds only the diagonal, the
+        factor matrices and the scalings.
+        """
         return int(self.generator.nnz)
 
 
 def place_initial_distribution(grid: RewardGrid, workload, available: float, bound: float) -> np.ndarray:
     """Place the workload's initial law at the given charge levels.
 
-    Returns the initial probability vector over the expanded state space:
-    each workload state's mass is put at the grid cell containing
-    ``(available, bound)``.  Shared by :func:`discretize` and by the
-    engine's batched solves, which start the *same* chain at different
-    charge levels (capacity sweeps over transfer-free batteries).
+    Returns the initial probability vector over a single battery's
+    expanded state space: each workload state's mass is put at the grid
+    cell containing ``(available, bound)``.  The engine's batched solves
+    use it to start the *same* chain at different charge levels (capacity
+    sweeps over transfer-free batteries).
     """
     j1 = grid.level_of(available, dimension=1)
     j2 = grid.level_of(bound, dimension=2) if grid.two_dimensional else 0
@@ -93,6 +119,22 @@ def place_initial_distribution(grid: RewardGrid, workload, available: float, bou
     states = np.nonzero(masses > 0.0)[0]
     np.add.at(initial, grid.flat_index(states, j1, j2), masses[states])
     return initial
+
+
+def _battery_grid(battery: KiBaMParameters, delta: float) -> RewardGrid:
+    """The charge grid of one battery (1-D when ``c = 1``)."""
+    return RewardGrid(
+        delta=float(delta),
+        upper1=battery.available_capacity,
+        upper2=battery.bound_capacity,
+    )
+
+
+def _off_diagonal(generator: FloatArray) -> FloatArray:
+    """The non-negative off-diagonal part of a small dense generator."""
+    off = np.asarray(generator, dtype=float).copy()
+    np.fill_diagonal(off, 0.0)
+    return off
 
 
 def _transfer_rates(grid: RewardGrid, c: float, k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -113,95 +155,162 @@ def _transfer_rates(grid: RewardGrid, c: float, k: float) -> tuple[np.ndarray, n
     return j1_mesh[positive], j2_mesh[positive], rates[positive]
 
 
-def discretize(model: KiBaMRM, delta: float) -> DiscretizedKiBaMRM:
-    """Build the expanded CTMC ``Q*`` for the given step size *delta* (in As).
-
-    The grid covers the available-charge well up to ``c C`` and, unless
-    ``c = 1``, the bound-charge well up to ``(1 - c) C``.
-    """
-    upper1, upper2 = model.reward_bounds
-    grid = RewardGrid(delta=float(delta), upper1=upper1, upper2=upper2)
-
-    workload = model.workload
-    n_workload = workload.n_states
-    n1 = grid.n_levels1
+def _transfer_matrix(grid: RewardGrid, battery: KiBaMParameters) -> sp.csr_matrix:
+    """Transfer transitions ``(j1, j2) -> (j1+1, j2-1)`` over one grid's cells."""
+    j1, j2, rates = _transfer_rates(grid, battery.c, battery.k)
     n2 = grid.n_levels2
-    n_expanded = grid.n_expanded_states(n_workload)
+    rows = j1 * n2 + j2
+    cols = (j1 + 1) * n2 + (j2 - 1)
+    return sp.csr_matrix((rates, (rows, cols)), shape=(grid.n_cells, grid.n_cells))
 
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
 
-    # Non-absorbing grid cells: every (j1, j2) with j1 >= 1.
-    j1_mesh, j2_mesh = np.meshgrid(
-        np.arange(1, n1, dtype=np.int64), np.arange(n2, dtype=np.int64), indexing="ij"
+def _consumption_shift(grid: RewardGrid) -> sp.csr_matrix:
+    """Unscaled down-shift ``(j1, j2) -> (j1 - 1, j2)`` over one grid's cells.
+
+    The entries are 1; the physical rate ``w_b I_i / Delta`` is applied on
+    the product space (current via the workload/phase diagonal factor,
+    routing weight via a diagonal row scaling).
+    """
+    return sp.eye(grid.n_cells, k=-grid.n_levels2, format="csr")
+
+
+def _kronecker_generator(
+    system: MultiBatterySystem,
+    grids: tuple[RewardGrid, ...],
+    failed_cells: npt.NDArray[np.bool_],
+    weights: FloatArray,
+    delta: float,
+) -> KroneckerGenerator:
+    """The chain's generator as Kronecker terms: the one place ``Q*`` is written.
+
+    One :class:`~repro.markov.kronecker.KroneckerTerm` per transition
+    family: the workload/phase transitions on the aux factor, each
+    battery's transfer and consumption on its grid factor.  The
+    state-dependent rates (k-of-N absorption mask, per-state currents,
+    routing weights) are broadcastable per-axis-group scalings -- the
+    active/weight masks live on the joint cell axes, the current on the
+    aux axis.  Phase-dependent routing (round-robin) splits the
+    consumption of a battery into one term per phase, keeping every
+    scaling a product of an aux vector and a cell-space array.
+    """
+    workload = system.workload
+    n_phases = system.n_phases
+    n_aux = workload.n_states * n_phases
+    cells = tuple(grid.n_cells for grid in grids)
+    cell_shape = (1,) + cells
+    active = ~failed_cells
+    active_cells = active.astype(float).reshape(cell_shape)
+
+    terms: list[KroneckerTerm] = []
+    # Workload and phase moves on the (small, dense) combined aux factor.
+    aux_off = sp.csr_matrix(
+        np.kron(_off_diagonal(workload.generator), np.eye(n_phases))
+        + np.kron(
+            np.eye(workload.n_states),
+            _off_diagonal(system.policy.phase_generator(system.n_batteries)),
+        )
     )
-    j1_flat = j1_mesh.ravel()
-    j2_flat = j2_mesh.ravel()
+    if aux_off.nnz:
+        terms.append(KroneckerTerm(factors=((0, aux_off),), scales=(active_cells,)))
 
-    # 1. Workload transitions (copied at every non-absorbing reward level).
-    #    All positive off-diagonal rates at once: broadcasting the (source,
-    #    target) pairs against the grid cells replaces the former per-pair
-    #    Python loop, so model construction no longer dominates small-delta
-    #    builds.
-    off_diag = np.asarray(workload.generator, dtype=float).copy()
-    np.fill_diagonal(off_diag, 0.0)
-    sources, targets = np.nonzero(off_diag > 0.0)
-    if sources.size > 0:
-        rows.append(grid.flat_index(sources[:, None], j1_flat[None, :], j2_flat[None, :]).ravel())
-        cols.append(grid.flat_index(targets[:, None], j1_flat[None, :], j2_flat[None, :]).ravel())
-        vals.append(np.repeat(off_diag[sources, targets], j1_flat.size))
+    for b, (grid, battery) in enumerate(zip(grids, system.batteries)):
+        transfer = _transfer_matrix(grid, battery)
+        if transfer.nnz:
+            terms.append(KroneckerTerm(factors=((b + 1, transfer),), scales=(active_cells,)))
 
-    # 2. Consumption transitions: one charge quantum leaves the available well.
-    currents = np.asarray(workload.currents, dtype=float)
-    drawing = np.nonzero(currents > 0.0)[0]
-    if drawing.size > 0:
-        rows.append(grid.flat_index(drawing[:, None], j1_flat[None, :], j2_flat[None, :]).ravel())
-        cols.append(grid.flat_index(drawing[:, None], j1_flat[None, :] - 1, j2_flat[None, :]).ravel())
-        vals.append(np.repeat(currents[drawing] / grid.delta, j1_flat.size))
+    currents_aux = np.repeat(np.asarray(workload.currents, dtype=float), n_phases)
+    if np.any(currents_aux > 0.0):
+        aux_index = np.arange(n_aux)
+        for b, grid in enumerate(grids):
+            shift = _consumption_shift(grid)
+            if shift.nnz == 0:
+                continue
+            for phase in range(n_phases):
+                weight_cells = weights[phase, :, b] * active
+                if not np.any(weight_cells > 0.0):
+                    continue
+                current_scale = np.where(
+                    aux_index % n_phases == phase, currents_aux / delta, 0.0
+                ).reshape((n_aux,) + (1,) * len(cells))
+                terms.append(
+                    KroneckerTerm(
+                        factors=((b + 1, shift),),
+                        scales=(current_scale, weight_cells.reshape(cell_shape)),
+                    )
+                )
 
-    # 3. Transfer transitions: one charge quantum moves from the bound to the
-    #    available well.  The rate k (h2 - h1) / Delta = k (j2/(1-c) - j1/c)
-    #    does not depend on the workload state.
-    transfer_j1, transfer_j2, transfer_rate = _transfer_rates(grid, model.battery.c, model.battery.k)
-    if transfer_j1.size > 0:
-        states = np.arange(n_workload, dtype=np.int64)
-        rows.append(grid.flat_index(states[:, None], transfer_j1[None, :], transfer_j2[None, :]).ravel())
-        cols.append(grid.flat_index(states[:, None], transfer_j1[None, :] + 1, transfer_j2[None, :] - 1).ravel())
-        vals.append(np.tile(transfer_rate, n_workload))
+    # Construction-time validation catches e.g. a policy emitting negative
+    # routing weights; the checks scan only the factor matrices and scaling
+    # arrays, never the product space.
+    return KroneckerGenerator((n_aux,) + cells, terms)
 
-    if rows:
-        row_array = np.concatenate(rows)
-        col_array = np.concatenate(cols)
-        val_array = np.concatenate(vals)
-    else:
-        row_array = np.empty(0, dtype=np.int64)
-        col_array = np.empty(0, dtype=np.int64)
-        val_array = np.empty(0)
 
-    off_diagonal = sp.coo_matrix(
-        (val_array, (row_array, col_array)), shape=(n_expanded, n_expanded)
-    ).tocsr()
-    row_sums = np.asarray(off_diagonal.sum(axis=1)).ravel()
-    expanded_generator = (off_diagonal + sp.diags(-row_sums)).tocsr()
+def discretize(
+    system: MultiBatterySystem, delta: float, backend: str = "assembled"
+) -> DiscretizedMultiBatterySystem:
+    """Build the expanded CTMC ``Q*`` of *system* for step size *delta* (As).
 
-    # Initial distribution: the workload's initial distribution placed at the
-    # levels containing the full-battery rewards.
-    available0, bound0 = model.initial_rewards
-    initial = place_initial_distribution(grid, workload, available0, bound0)
+    Each battery's grid covers its available-charge well up to ``c C`` and,
+    unless ``c = 1``, its bound-charge well up to ``(1 - c) C``.  *backend*
+    (``"assembled"`` or ``"matrix-free"``) is recorded on the chain for
+    the propagator; the lumped quotient is
+    :func:`~repro.multibattery.lumping.discretize_lumped`.
+    """
+    workload = system.workload
+    n_batteries = system.n_batteries
+    grids = tuple(_battery_grid(battery, delta) for battery in system.batteries)
+    cells = tuple(grid.n_cells for grid in grids)
+    n_cells = int(np.prod(cells))
+    n_phases = system.n_phases
+    n_aux = workload.n_states * n_phases
 
-    # Absorbing empty states: every (i, 0, j2).
-    states_mesh, j2_empty = np.meshgrid(
-        np.arange(n_workload, dtype=np.int64), np.arange(n2, dtype=np.int64), indexing="ij"
-    )
-    empty_states = grid.flat_index(states_mesh.ravel(), 0, j2_empty.ravel())
+    # Per-battery charge configuration of every product cell: the cell
+    # index decomposes battery-major (battery 1 outermost), mirroring the
+    # Kronecker factor order (workload, phase, grid 1, ..., grid N).
+    strides = np.empty(n_batteries, dtype=np.int64)
+    running = 1
+    for b in range(n_batteries - 1, -1, -1):
+        strides[b] = running
+        running *= cells[b]
+    cell_index = np.arange(n_cells, dtype=np.int64)
+    levels = np.empty((n_cells, n_batteries), dtype=np.int64)
+    for b, grid in enumerate(grids):
+        levels[:, b] = (cell_index // strides[b]) % cells[b] // grid.n_levels2
+    alive = levels >= 1
+    failed_cells = (~alive).sum(axis=1) >= system.failures_to_die
 
-    chain = DiscretizedKiBaMRM(
-        model=model,
-        grid=grid,
-        generator=expanded_generator,
+    weights = system.policy.routing_weights(
+        levels.astype(float), alive
+    )  # (n_phases, n_cells, n_batteries)
+    if weights.shape != (n_phases, n_cells, n_batteries):
+        raise ValueError(
+            f"policy {system.policy.name!r} returned routing weights of shape "
+            f"{weights.shape}, expected {(n_phases, n_cells, n_batteries)}"
+        )
+    # The per-cell configuration arrays are the size of the joint cell
+    # space: free them before the generator allocates its own.
+    del cell_index, levels, alive
+
+    # Initial distribution: the workload's initial law, phase 0, every
+    # battery at its full-charge cell.
+    full_cell = 0
+    for b, (grid, battery) in enumerate(zip(grids, system.batteries)):
+        j1 = grid.level_of(battery.available_capacity, dimension=1)
+        j2 = grid.level_of(battery.bound_capacity, dimension=2) if grid.two_dimensional else 0
+        full_cell += (j1 * grid.n_levels2 + j2) * int(strides[b])
+    initial = np.zeros(n_aux * n_cells)
+    masses = np.asarray(workload.initial_distribution, dtype=float)
+    states = np.nonzero(masses > 0.0)[0]
+    initial[states * n_phases * n_cells + full_cell] = masses[states]
+
+    chain = DiscretizedMultiBatterySystem(
+        system=system,
+        grids=grids,
+        generator=_kronecker_generator(system, grids, failed_cells, weights, delta),
         initial_distribution=initial,
-        empty_states=np.sort(empty_states),
+        empty_states=np.nonzero(np.tile(failed_cells, n_aux))[0],
+        failed_cells=failed_cells,
+        backend=backend,
     )
     check_chain(chain)
     return chain

@@ -18,13 +18,13 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.battery.parameters import KiBaMParameters
-from repro.core.kibamrm import KiBaMRM
 from repro.workload.base import WorkloadModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy.typing as npt
 
     from repro.checking import FloatArray
+    from repro.multibattery.system import MultiBatterySystem
 
 __all__ = ["LifetimeProblem", "default_delta"]
 
@@ -143,9 +143,23 @@ class LifetimeProblem:
         """Number of distinct per-state currents of the workload."""
         return int(np.unique(self.workload.currents).size)
 
-    def model(self) -> KiBaMRM:
-        """Return the KiBaMRM (workload + battery) of this problem."""
-        return KiBaMRM(workload=self.workload, battery=self.battery)
+    def model(self) -> MultiBatterySystem:
+        """Return the system this problem discretises: the bank of one.
+
+        A single battery is the bank of one under ``static-split`` that
+        fails with its battery, so it is discretised by the same
+        construction as every bank
+        (:func:`repro.core.discretization.discretize`).
+        """
+        from repro.multibattery.policies import StaticSplitPolicy
+        from repro.multibattery.system import MultiBatterySystem
+
+        return MultiBatterySystem(
+            workload=self.workload,
+            batteries=(self.battery,),
+            policy=StaticSplitPolicy(),
+            failures_to_die=1,
+        )
 
     def estimated_mrm_states(self, delta: float | None = None) -> int:
         """Estimate the expanded-CTMC size for the given (or default) step.

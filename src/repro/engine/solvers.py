@@ -9,11 +9,12 @@ Three interchangeable machineries answer the same
   ``k = 0``); the lifetime CDF is then an analytic functional of the
   occupation time of the high-current states.
 * ``mrm-uniformization`` -- the paper's Markovian approximation: the
-  KiBaMRM is discretised into a large sparse CTMC whose transient solution
-  (via uniformisation) yields the probability of the absorbing
-  "battery empty" states.  One blocked pass answers every problem of a
-  chain-sharing group (:meth:`MRMUniformizationSolver.solve_group`); a
-  single solve is a group of one.
+  KiBaMRM (a single battery as a bank of one, or a bank) is discretised
+  into a large sparse CTMC whose transient solution (via uniformisation)
+  yields the probability of the absorbing "battery empty" states.  One
+  blocked pass answers every problem of a chain-sharing group
+  (:meth:`MRMUniformizationSolver.solve_group`); a single solve is a
+  group of one.
 * ``monte-carlo`` -- trajectory simulation of the workload CTMC with the
   analytic KiBaM integrated along every sampled path.
 
@@ -47,8 +48,7 @@ from repro.simulation.lifetime_sim import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from collections.abc import Sequence
 
-    from repro.checking.protocols import FloatArray
-    from repro.core.discretization import DiscretizedKiBaMRM
+    from repro.checking.protocols import DiscretizedChain, FloatArray
 
 __all__ = [
     "AnalyticSolver",
@@ -151,15 +151,19 @@ class AnalyticSolver:
         )
 
 
-def _initial_vector(chain: DiscretizedKiBaMRM, problem: LifetimeProblem) -> FloatArray:
+def _initial_vector(chain: DiscretizedChain, problem: LifetimeProblem) -> FloatArray:
     """Place the problem's initial law at its own charge levels on *chain*."""
     if problem.is_multibattery:
         # Bank problems only share a chain with identical keys, so every
         # one starts from the chain's own initial vector (the full-charge
         # product cell).
         return np.asarray(chain.initial_distribution, dtype=float)
-    available0, bound0 = problem.model().initial_rewards
-    return place_initial_distribution(chain.grid, problem.workload, available0, bound0)
+    # A stacked transfer-free group starts the anchor's bank of one at each
+    # battery's own full-charge cell.
+    battery = problem.battery
+    return place_initial_distribution(
+        chain.grids[0], problem.workload, battery.available_capacity, battery.bound_capacity
+    )
 
 
 class MRMUniformizationSolver:

@@ -3,12 +3,13 @@
 A :class:`SolveWorkspace` is the reuse boundary of the engine: solvers that
 are handed the same workspace share
 
-* the **expanded-chain builds** (``discretize`` results keyed by the
-  problem's chain key) together with their cached
+* the **expanded-chain builds** (keyed by the problem's chain key)
+  together with their cached
   :class:`~repro.markov.uniformization.TransientPropagator`, so a parameter
-  sweep that revisits a chain never rebuilds or re-uniformises it
-  (models that know how to discretise themselves -- the multi-battery
-  product systems -- are dispatched to their own ``discretize`` method),
+  sweep that revisits a chain never rebuilds or re-uniformises it (a
+  single battery's bank of one is built by
+  :func:`~repro.core.discretization.discretize`, a bank by its
+  ``MultiBatterySystem.discretize``, which also resolves its backend),
 * the globally memoised **Poisson windows** (hit statistics are surfaced
   here for diagnostics), and
 * the **steady-state times** reported by the incremental uniformisation
@@ -29,13 +30,13 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro import obs
-from repro.core.discretization import DiscretizedKiBaMRM, discretize
-from repro.core.kibamrm import KiBaMRM
+from repro.core.discretization import discretize
 from repro.markov.poisson import poisson_cache_diagnostics
 from repro.markov.uniformization import TransientPropagator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.checking import FloatArray
+    from repro.checking import DiscretizedChain, FloatArray
+    from repro.multibattery.system import MultiBatterySystem
 
 __all__ = ["SolveWorkspace"]
 
@@ -44,7 +45,7 @@ __all__ = ["SolveWorkspace"]
 class SolveWorkspace:
     """Caches shared by every solve routed through one engine call/batch."""
 
-    chains: dict[tuple[Any, ...], DiscretizedKiBaMRM] = field(default_factory=dict)
+    chains: dict[tuple[Any, ...], DiscretizedChain] = field(default_factory=dict)
     propagators: dict[tuple[Any, ...], TransientPropagator] = field(
         default_factory=dict
     )
@@ -72,31 +73,28 @@ class SolveWorkspace:
     # ------------------------------------------------------------------
     def discretized(
         self,
-        model: Any,
+        model: MultiBatterySystem,
         delta: float,
         key: tuple[Any, ...],
         backend: str | None = None,
-    ) -> DiscretizedKiBaMRM:
+    ) -> DiscretizedChain:
         """Return the expanded chain for *key*, building it at most once.
 
-        Models that carry their own discretisation -- the multi-battery
-        product systems expose a ``discretize(delta)`` method -- are
-        dispatched to it; plain :class:`KiBaMRM` models go through the
-        single-battery :func:`discretize`.  *backend* selects the
-        multi-battery realisation: the Kronecker operator for
-        ``"assembled"`` and ``"matrix-free"`` (the chain records which, and
-        :meth:`propagator` builds ``P`` accordingly), or the
-        symmetry-lumped quotient.  Callers must fold it into *key*,
-        because the backends build different chain and propagator objects
-        for the same physical chain.
+        Without a *backend*, *model* is a single battery's bank of one and
+        :func:`discretize` builds it, assembled.  With one, *model* is a
+        bank and its own ``discretize`` builds the realisation *backend*
+        names: the Kronecker operator for ``"assembled"`` and
+        ``"matrix-free"`` (the chain records which, and :meth:`propagator`
+        builds ``P`` accordingly), or the symmetry-lumped quotient.
+        Callers must fold *backend* into *key*, because the backends build
+        different chain and propagator objects for the same physical
+        chain.
         """
         chain = self.chains.get(key)
         if chain is None:
             with obs.span("chain_build", delta=float(delta), backend=backend or "single"):
-                if isinstance(model, KiBaMRM):
+                if backend is None:
                     chain = discretize(model, delta)
-                elif backend is None:
-                    chain = model.discretize(delta)
                 else:
                     chain = model.discretize(delta, backend=backend)
             self.chains[key] = chain
@@ -107,12 +105,12 @@ class SolveWorkspace:
             obs.count("workspace_chain_build_hits")
         return chain
 
-    def propagator(self, chain: DiscretizedKiBaMRM, key: tuple[Any, ...]) -> TransientPropagator:
+    def propagator(self, chain: DiscretizedChain, key: tuple[Any, ...]) -> TransientPropagator:
         """Return the cached uniformised propagator for *chain*.
 
-        The chain's ``backend`` is passed on: an ``"assembled"`` bank's
-        propagator writes ``P`` as CSR from the chain's Kronecker operator
-        and holds only that matrix.
+        The chain's ``backend`` is passed on: an ``"assembled"`` chain's
+        propagator (every single battery's) writes ``P`` as CSR from the
+        chain's Kronecker operator and holds only that matrix.
         """
         propagator = self.propagators.get(key)
         if propagator is None:
@@ -120,13 +118,13 @@ class SolveWorkspace:
                 propagator = TransientPropagator(
                     chain.generator,
                     validate=False,
-                    assemble=getattr(chain, "backend", None) == "assembled",
+                    assemble=chain.backend == "assembled",
                 )
             self.propagators[key] = propagator
         return propagator
 
     def empty_projection(
-        self, chain: DiscretizedKiBaMRM, key: tuple[Any, ...]
+        self, chain: DiscretizedChain, key: tuple[Any, ...]
     ) -> FloatArray:
         """Return the cached empty-state indicator vector for *chain*."""
         projection = self.projections.get(key)

@@ -92,19 +92,28 @@ class _PreparedFactor:
     * the **trailing axis** is a contiguous ``(n/f, f)`` view, contracted
       in one matmul (dense BLAS for small factors, dense-by-sparse
       otherwise).
+
+    The offset grouping is a Python pass over the non-zeros, so it is
+    built on the first non-trailing contraction: an assembled chain never
+    applies its factors and never pays for it.
     """
 
     def __init__(self, axis: int, matrix: sp.csr_matrix) -> None:
         self.axis = axis
         self.matrix = matrix
-        coo = matrix.tocoo()
-        self.entries = list(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
         size = matrix.shape[0]
         # Factor-local densification, bounded by _DENSE_FACTOR_LIMIT (128).
         self.dense = matrix.toarray() if size <= _DENSE_FACTOR_LIMIT else None  # repro-lint: allow RPR001
         #: The trailing-axis matmul operand: the dense copy when there is one.
         self.operand = self.dense if self.dense is not None else matrix
-        self._offsets = self._group_by_offset(coo)
+        self._grouped: tuple[Any, ...] | None = None
+
+    @property
+    def _offsets(self) -> tuple[Any, ...]:
+        """The non-zeros grouped by offset, built on first use."""
+        if self._grouped is None:
+            self._grouped = self._group_by_offset(self.matrix.tocoo())
+        return self._grouped
 
     @staticmethod
     def _group_by_offset(coo: sp.coo_matrix) -> tuple[Any, ...]:

@@ -533,9 +533,10 @@ def check_chain(chain: Any) -> None:
     Validates the chain's generator (structural Q-matrix laws, operator
     consistency) and -- for chains up to :data:`REACHABILITY_STATE_LIMIT`
     states -- the absorbing structure against the chain's
-    ``empty_states`` and initial distribution.  A bank's Kronecker
-    operator is assembled with ``to_csr()`` for that check, whichever
-    backend applies it.
+    ``empty_states`` and initial distribution.  A Kronecker operator (the
+    generator of every unlumped chain, single batteries included) is
+    assembled with ``to_csr()`` for that check, whichever backend applies
+    it.
     """
     if checks_mode() == "off":
         return

@@ -5,9 +5,10 @@ paper to systems powered by a *bank* of KiBaM batteries whose lifetime
 depends on how the load is scheduled across them:
 
 * :class:`~repro.multibattery.system.MultiBatterySystem` composes N
-  per-battery charge grids into one product-space CTMC via sparse
-  Kronecker assembly, with a configurable k-of-N depletion predicate
-  defining the absorbing "system failed" states;
+  per-battery charge grids into one product-space CTMC of Kronecker
+  terms (:func:`repro.core.discretization.discretize`, which builds a
+  single battery as the bank of one), with a configurable k-of-N
+  depletion predicate defining the absorbing "system failed" states;
 * :mod:`~repro.multibattery.policies` is a fixed string-keyed table of
   scheduler policies (``static-split``, ``round-robin``, ``best-of``)
   that shape the product generator's load-routing rates;

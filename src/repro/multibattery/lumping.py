@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.discretization import _transfer_rates
+from repro.core.discretization import _battery_grid, _off_diagonal, _transfer_rates
 from repro.core.grid import RewardGrid
 from repro.markov.validate import check_chain
 
@@ -108,8 +108,6 @@ def discretize_lumped(system: Any, delta: float) -> "LumpedMultiBatterySystem":
     use :attr:`~repro.multibattery.system.MultiBatterySystem.lumpable` to
     test first.
     """
-    from repro.multibattery.system import _battery_grid, _off_diagonal
-
     if not system.lumpable:
         raise ValueError(
             "permutation-symmetry lumping needs >= 2 identical batteries under "
@@ -259,7 +257,7 @@ class LumpedMultiBatterySystem:
     """The exact symmetry quotient of an identical-battery product chain.
 
     Exposes the engine-facing surface of
-    :class:`~repro.multibattery.system.DiscretizedMultiBatterySystem`
+    :class:`~repro.core.discretization.DiscretizedMultiBatterySystem`
     (``generator``, ``initial_distribution``, ``empty_states``,
     ``n_states``, ``n_nonzero``) over the quotient state space
     ``workload x sorted-charge-multisets``.

@@ -8,5 +8,7 @@ independent method that only the tests run:
 * :mod:`oracles.transient` -- the dense matrix-exponential transient and
   the time-integrated state probabilities;
 * :mod:`oracles.discretisation` -- the explicit reward-discretisation
-  scheme of Section 5 of the paper.
+  scheme of Section 5 of the paper;
+* :mod:`oracles.kibamrm` -- the continuous reward rates of the KiBaMRM
+  (Section 4.2), which every transition of the expanded CTMC discretises.
 """

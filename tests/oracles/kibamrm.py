@@ -1,4 +1,4 @@
-"""The Kinetic Battery Markov reward model (KiBaMRM).
+"""The Kinetic Battery Markov reward model (KiBaMRM) of Section 4.2.
 
 Section 4.2 of the paper combines a CTMC workload model with the KiBaM: the
 CTMC states are the operating modes of the device, and two accumulated
@@ -15,10 +15,11 @@ whenever ``h2 > h1 > 0`` (and the drain term ``-I_i`` always applies while
 charge is available).  The battery is empty as soon as ``Y_1(t) = 0``; the
 lifetime is the first time this happens.
 
-The :class:`KiBaMRM` class bundles the workload and battery parameters,
-exposes the reward-rate functions (used by tests and by the generic
-inhomogeneous-MRM tooling in :mod:`repro.reward`) and states the reward
-bounds needed by the discretisation.
+The library never evaluates these continuous reward rates: its expanded
+CTMC (:func:`repro.core.discretization.discretize`) writes their
+discretised form directly.  This oracle states the rates as the paper
+defines them, so the tests can check every transition of a built chain
+against the reward rate at its cell divided by ``Delta``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.battery.kibam import KiBaMState, KineticBatteryModel
 from repro.battery.parameters import KiBaMParameters
 from repro.workload.base import WorkloadModel
 
@@ -75,10 +75,6 @@ class KiBaMRM:
         """Initial accumulated rewards ``(c C, (1-c) C)`` (a full battery)."""
         return self.battery.available_capacity, self.battery.bound_capacity
 
-    def battery_model(self) -> KineticBatteryModel:
-        """Return the analytical KiBaM for this parameter set."""
-        return KineticBatteryModel(self.battery)
-
     # ------------------------------------------------------------------
     def heights(self, available: float, bound: float) -> tuple[float, float]:
         """Return the well heights ``(h1, h2)`` for the given charges."""
@@ -115,11 +111,7 @@ class KiBaMRM:
         return -current + transfer, -transfer
 
     def reward_rate_matrix(self, available: float, bound: float) -> np.ndarray:
-        """Return the ``N x 2`` reward-rate matrix ``R(y1, y2)``.
-
-        The transfer term is shared by every workload state, so the matrix
-        is assembled in one vectorised pass over the per-state currents.
-        """
+        """Return the ``N x 2`` reward-rate matrix ``R(y1, y2)``."""
         rates = np.zeros((self.n_states, 2))
         if available <= 0.0:
             return rates
@@ -127,10 +119,3 @@ class KiBaMRM:
         rates[:, 0] = -np.asarray(self.workload.currents, dtype=float) + transfer
         rates[:, 1] = -transfer
         return rates
-
-    def initial_state(self) -> KiBaMState:
-        """Return the full-battery KiBaM state."""
-        return KiBaMState(
-            available=self.battery.available_capacity,
-            bound=self.battery.bound_capacity,
-        )

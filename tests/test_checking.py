@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.api import LifetimeProblem
 from repro.battery.parameters import KiBaMParameters
 from repro.checking import (
     CHECK_MODES,
@@ -24,7 +25,6 @@ from repro.checking import (
     registered_fields,
 )
 from repro.core.discretization import discretize
-from repro.core.kibamrm import KiBaMRM
 from repro.engine.diagnostics import DIAGNOSTIC_KEYS, validate_diagnostics
 from repro.markov.kronecker import KroneckerGenerator, KroneckerTerm
 from repro.multibattery.policies import StaticSplitPolicy
@@ -39,7 +39,8 @@ def small_kronecker() -> KroneckerGenerator:
 
 def small_chain():
     battery = KiBaMParameters(capacity=60.0, c=0.625, k=1e-3)
-    return discretize(KiBaMRM(workload=onoff_workload(frequency=1.0), battery=battery), delta=6.0)
+    problem = LifetimeProblem(workload=onoff_workload(frequency=1.0), battery=battery, times=[0.0])
+    return discretize(problem.model(), delta=6.0)
 
 
 # ----------------------------------------------------------------------

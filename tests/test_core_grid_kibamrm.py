@@ -1,13 +1,13 @@
-"""Tests for the reward grid and the KiBaMRM definition."""
+"""Tests for the reward grid and the KiBaMRM reward-rate oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.kibamrm import KiBaMRM
 
 from repro.battery.parameters import KiBaMParameters
 from repro.core.grid import RewardGrid
-from repro.core.kibamrm import KiBaMRM
 from repro.workload.onoff import onoff_workload
 from repro.workload.simple import simple_workload
 

@@ -5,7 +5,6 @@ import pytest
 
 import repro.api as api
 from repro.battery.parameters import KiBaMParameters
-from repro.core.kibamrm import KiBaMRM
 from repro.reward.occupation import two_level_lifetime_cdf
 from repro.workload.onoff import onoff_workload
 
@@ -19,15 +18,12 @@ def fast_onoff_model():
     """
     workload = onoff_workload(frequency=0.01, erlang_k=1)
     battery = KiBaMParameters(capacity=600.0, c=1.0, k=0.0)
-    return KiBaMRM(workload=workload, battery=battery)
+    return api.LifetimeProblem(workload=workload, battery=battery, times=[0.0])
 
 
-def approximation(model: KiBaMRM, times, delta: float) -> api.LifetimeResult:
+def approximation(model: api.LifetimeProblem, times, delta: float) -> api.LifetimeResult:
     """The Markovian approximation of *model*'s lifetime CDF on *times*."""
-    problem = api.LifetimeProblem(
-        workload=model.workload, battery=model.battery, times=times, delta=delta
-    )
-    return api.solve(problem, "mrm-uniformization")
+    return api.solve(model.with_times(times).with_delta(delta), "mrm-uniformization")
 
 
 class TestLifetimeSolver:
@@ -84,11 +80,15 @@ class TestLifetimeSolver:
 
     def test_two_well_solver_runs_and_is_slower_to_empty(self):
         workload = onoff_workload(frequency=0.01, erlang_k=1)
-        partial = KiBaMRM(
-            workload=workload, battery=KiBaMParameters(capacity=600.0, c=0.625, k=1e-4)
+        partial = api.LifetimeProblem(
+            workload=workload,
+            battery=KiBaMParameters(capacity=600.0, c=0.625, k=1e-4),
+            times=[0.0],
         )
-        only_available = KiBaMRM(
-            workload=workload, battery=KiBaMParameters(capacity=375.0, c=1.0, k=0.0)
+        only_available = api.LifetimeProblem(
+            workload=workload,
+            battery=KiBaMParameters(capacity=375.0, c=1.0, k=0.0),
+            times=[0.0],
         )
         times = np.linspace(400.0, 2500.0, 8)
         partial_curve = approximation(partial, times, delta=12.5)

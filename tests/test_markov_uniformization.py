@@ -5,8 +5,8 @@ import pytest
 import scipy.sparse as sp
 from oracles.transient import expm_transient
 
+from repro.api import LifetimeProblem
 from repro.core.discretization import discretize
-from repro.core.kibamrm import KiBaMRM
 from repro.markov.generator import uniformized_matrix
 from repro.markov.uniformization import TransientPropagator, uniformization_rate
 from repro.workload.onoff import onoff_workload
@@ -23,8 +23,10 @@ class TestUniformizationRate:
     @pytest.mark.parametrize("kind", ["dense", "sparse", "absorbing", "kibamrm"])
     def test_propagator_uses_the_one_rule(self, three_state_generator, small_battery, kind):
         if kind == "kibamrm":
-            model = KiBaMRM(workload=onoff_workload(frequency=1.0), battery=small_battery)
-            generator = discretize(model, 2.0).generator
+            problem = LifetimeProblem(
+                workload=onoff_workload(frequency=1.0), battery=small_battery, times=[0.0]
+            )
+            generator = discretize(problem.model(), 2.0).generator.to_csr()
         else:
             generator = {
                 "dense": three_state_generator,

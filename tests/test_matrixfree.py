@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import ScenarioBatch
+from repro.api import LifetimeProblem, ScenarioBatch
 from repro.battery.parameters import KiBaMParameters
 from repro.checking import override_checks
 from repro.engine.batch import chain_merge_key
@@ -32,6 +32,7 @@ from repro.markov.kronecker import (
     KroneckerGenerator,
     KroneckerTerm,
     UniformizedOperator,
+    _PreparedFactor,
     assembled_csr_bytes,
 )
 from repro.markov.uniformization import TransientPropagator
@@ -258,6 +259,36 @@ class TestKroneckerOperator:
         final = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
         assert final == assembled_csr_bytes(matrix.nnz, n)
         assert peak <= 1.25 * final, f"peak {peak} B is {peak / final:.2f}x the {final} B of P"
+
+    def test_assembled_solves_never_group_factor_offsets(self, monkeypatch):
+        """The offset grouping serves only the factor-wise apply.
+
+        An assembled chain -- a bank pinned to ``"assembled"``, and every
+        single battery -- writes ``P`` from the factor matrices and never
+        applies them, so its solve must not build the grouping.
+        """
+
+        def refuse(coo):
+            raise AssertionError("an assembled solve grouped factor offsets")
+
+        monkeypatch.setattr(_PreparedFactor, "_group_by_offset", staticmethod(refuse))
+        battery = KiBaMParameters(capacity=60.0, c=0.625, k=1e-3)
+        times = np.linspace(0.0, 2000.0, 5)
+        bank = MultiBatteryProblem(
+            workload=busy_idle_workload(),
+            batteries=(battery, battery),
+            times=times,
+            delta=battery.available_capacity / 8,
+            policy="round-robin",
+            failures_to_die=1,
+            backend="assembled",
+        )
+        single = LifetimeProblem(
+            workload=busy_idle_workload(), battery=battery, times=times, delta=2.0
+        )
+        for problem in (bank, single):
+            result = solve_lifetime(problem, "mrm-uniformization")
+            assert result.probabilities[-1] > 0.9
 
     def test_tampered_probability_matrix_fails_the_check(self, strict_checks):
         system, delta = small_bank_system(2, "best-of")

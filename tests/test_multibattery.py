@@ -14,12 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.api as api
 from repro.api import LifetimeProblem, RunOptions, ScenarioBatch, SweepCache, SweepSpec
 from repro.battery.parameters import KiBaMParameters
 from repro.checking import dense_fallback
-from repro.core.discretization import discretize
 from repro.core.grid import RewardGrid
-from repro.core.kibamrm import KiBaMRM
 from repro.engine.registry import solve_lifetime
 from repro.engine.solvers import choose_method
 from repro.engine.sweep import run_sweep, scenario_fingerprint
@@ -209,29 +208,65 @@ class TestProductAssembly:
         )
         assert probability.nnz <= system.estimated_nonzeros(delta)
 
-    def test_single_battery_product_chain_matches_discretize(self):
-        """With N = 1 the product chain degenerates to the paper's expanded CTMC."""
-        battery = KiBaMParameters(capacity=60.0, c=0.625, k=1e-3)
-        workload = busy_idle_workload()
-        delta = battery.available_capacity / 8
-        single = discretize(KiBaMRM(workload=workload, battery=battery), delta)
-        product = MultiBatterySystem(
-            workload=workload,
-            batteries=(battery,),
-            policy=get_policy("static-split"),
-            failures_to_die=1,
-        ).discretize(delta)
+    def test_single_battery_is_its_bank_of_one(self):
+        """A battery and its one-battery static-split bank solve on one chain.
 
-        assert product.n_states == single.n_states
-        np.testing.assert_allclose(
-            dense_fallback(product.generator), dense_fallback(single.generator), atol=1e-12
+        Both build the same Kronecker construction, so the answers are
+        bit-identical, not merely close.  A stacked transfer-free group
+        shares the anchor's bank of one: each member starts at its own cell
+        and answers within epsilon of its own chain (the group's block pass
+        detects steady state on the whole block, so its product count can
+        differ from a single solve's).
+        """
+        times = np.linspace(0.0, 900.0, 24)
+        transfer = KiBaMParameters(capacity=60.0, c=0.625, k=1e-3)
+        single_well = KiBaMParameters(capacity=60.0, c=1.0, k=0.0)
+        three_state = WorkloadModel(
+            state_names=("off", "idle", "busy"),
+            generator=np.array([[-0.1, 0.1, 0.0], [0.05, -0.1, 0.05], [0.0, 0.2, -0.2]]),
+            currents=np.array([0.0, 0.05, 0.5]),
+            initial_distribution=np.array([0.0, 1.0, 0.0]),
         )
-        np.testing.assert_array_equal(
-            product.initial_distribution, single.initial_distribution
-        )
-        np.testing.assert_array_equal(
-            np.sort(product.empty_states), np.sort(single.empty_states)
-        )
+
+        def bank_of_one(problem):
+            return MultiBatteryProblem(
+                workload=problem.workload,
+                batteries=(problem.battery,),
+                policy="static-split",
+                failures_to_die=1,
+                times=problem.times,
+                delta=problem.delta,
+            )
+
+        for workload, battery in (
+            (busy_idle_workload(), transfer),
+            (busy_idle_workload(), single_well),
+            (three_state, transfer),
+        ):
+            problem = LifetimeProblem(workload=workload, battery=battery, times=times, delta=2.0)
+            single = api.solve(problem, "mrm-uniformization")
+            bank = api.solve(bank_of_one(problem), "mrm-uniformization")
+            assert np.array_equal(single.probabilities, bank.probabilities)
+            for key in ("iterations", "n_states", "n_nonzero"):
+                assert single.diagnostics[key] == bank.diagnostics[key], key
+
+        group = [
+            LifetimeProblem(
+                workload=busy_idle_workload(),
+                battery=KiBaMParameters(capacity=capacity, c=1.0, k=0.0),
+                times=times,
+                delta=2.0,
+            )
+            for capacity in (40.0, 60.0)
+        ]
+        stacked = ScenarioBatch(group).run("mrm-uniformization")
+        assert stacked.diagnostics["stacked_scenarios"] == 2
+        anchor = api.solve(bank_of_one(group[1]), "mrm-uniformization")
+        for problem, result in zip(group, stacked):
+            own = api.solve(bank_of_one(problem), "mrm-uniformization")
+            assert np.max(np.abs(result.probabilities - own.probabilities)) <= problem.epsilon
+            for key in ("n_states", "n_nonzero"):
+                assert result.diagnostics[key] == anchor.diagnostics[key], key
 
     def test_failure_predicate_orders_cdfs(self):
         """A series pack (k=1) fails no later than a parallel bank (k=N)."""

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import LifetimeProblem
 from repro.battery.kibam import KineticBatteryModel
 from repro.battery.parameters import KiBaMParameters
 from repro.battery.profiles import SquareWaveLoad
 from repro.core.discretization import discretize
-from repro.core.kibamrm import KiBaMRM
 from repro.markov.steady_state import steady_state_distribution
 from repro.markov.uniformization import TransientPropagator
 from repro.markov.validate import validate_generator
@@ -115,8 +115,10 @@ class TestDiscretizationProperties:
     @settings(max_examples=12, deadline=None)
     def test_expanded_generator_is_valid_and_absorbing_where_expected(self, delta, c):
         battery = KiBaMParameters(capacity=200.0, c=c, k=1e-3 if c < 1.0 else 0.0)
-        model = KiBaMRM(workload=onoff_workload(frequency=0.05), battery=battery)
-        discretized = discretize(model, delta=delta)
+        problem = LifetimeProblem(
+            workload=onoff_workload(frequency=0.05), battery=battery, times=[0.0]
+        )
+        discretized = discretize(problem.model(), delta=delta)
         validate_generator(discretized.generator)
         diagonal = discretized.generator.diagonal()
         assert np.allclose(diagonal[discretized.empty_states], 0.0)
